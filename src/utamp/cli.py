@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoisers import BernoulliGaussianPrior, GaussianPrior
-from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, generate_matrix, synthesize_instance
+from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_matrix, generate_matrix, synthesize_instance
 from .matrixio import load_matrix, load_vector, save_matrix
 from .model import FactorizationError, LinearModel, circulant_factorize, svd_factorize
 from .solvers import lmmse_solve, run
@@ -136,9 +136,7 @@ def parse_ensemble(tokens: list[str]) -> EnsembleSpec:
 def _is_circulant(A: np.ndarray) -> bool:
     if A.shape[0] != A.shape[1]:
         return False
-    n = A.shape[0]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return bool(np.allclose(A, A[:, 0][idx], rtol=1e-10, atol=1e-12))
+    return bool(np.allclose(A, circulant_matrix(A[:, 0]), rtol=1e-10, atol=1e-12))
 
 
 def _resolve_problem(args, prior):
@@ -318,7 +316,7 @@ def cmd_compare(args) -> int:
     rows = _run_algorithms(model, fact, prior, names, args, out_dir)
     _print_rows(rows)
     if isinstance(prior, GaussianPrior) and "utamp" in names:
-        cert = certify(model.A, prior, sigma2=model.sigma2)
+        cert = certify(fact, prior, sigma2=model.sigma2)
         print(
             f"certificate: spectral radius {cert.spectral_radius:.6g} "
             f"({'contractive' if cert.converges else 'NOT contractive'})"

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant as _circulant
 
 from .model import LinearModel
 
-__all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "generate_matrix", "synthesize_instance"]
+__all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_matrix", "generate_matrix", "synthesize_instance"]
 
 ENSEMBLE_KINDS = (
     "iid_gaussian",
@@ -95,6 +94,12 @@ def _spread_spectrum(kappa: float, count: int) -> np.ndarray:
     return s / np.sqrt(np.mean(s**2))
 
 
+def circulant_matrix(first_column) -> np.ndarray:
+    """Dense circulant matrix C[i, j] = c[(i - j) % n] with first column c."""
+    n = len(first_column)
+    return np.asarray(first_column)[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+
+
 def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Draw the matrix described by spec, deterministically in spec.seed."""
     rng = stream(spec.seed, DOMAIN_MATRIX)
@@ -135,7 +140,7 @@ def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
         taps = spec.taps
         if taps is None:
             taps = rng.standard_normal(n) / np.sqrt(n)
-        return _circulant(taps)
+        return circulant_matrix(taps)
 
     raise AssertionError(f"unhandled kind {spec.kind}")
 

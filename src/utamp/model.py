@@ -3,8 +3,9 @@
 A model is the triple (A, y, sigma2) for y = A x + n with n ~ N(0, sigma2 I).
 A factorization A = U Lam V (U, V unitary, Lam diagonal of singular values,
 rectangular when M != N) supports the transformed model r = U^H y = Lam V x + w,
-which is what the transform-domain solver iterates on.  The DFT-backed
-factorization of a circulant matrix never materializes U or V unless asked.
+which is what the transform-domain solver iterates on.  Dense factors are
+stored thin; the DFT-backed factorization of a circulant matrix never
+materializes U or V unless asked.
 """
 
 from __future__ import annotations
@@ -88,13 +89,14 @@ class LinearModel:
 
 @dataclass(eq=False)
 class Factorization:
-    """A = U Lam V with unitary U (M x M) and V (N x N).
+    """A = U Lam V with unitary U (M x M) and V (N x N), k = min(M, N).
 
-    kind is "svd" (dense factors stored) or "dft" (circulant case; U = F^H,
-    V = F for the normalized forward DFT F, applied via FFTs).  lam holds the
-    min(M, N) diagonal entries of Lam; for "svd" these are the singular
-    values, for "dft" the eigenvalues of the circulant matrix (possibly
-    complex, in arbitrary order).
+    kind is "svd" (thin: U and V are U_k (M x k) and V_k (k x N), M*k + k*N
+    entries instead of M^2 + N^2) or "dft" (circulant case; U = F^H, V = F
+    for the normalized forward DFT F, applied via FFTs).  lam holds the k
+    diagonal entries of Lam; for "svd" these are the singular values, for
+    "dft" the eigenvalues of the circulant matrix (possibly complex, in
+    arbitrary order).
     """
 
     kind: str
@@ -136,7 +138,7 @@ class Factorization:
             return self.lam * (np.fft.fft(x) / np.sqrt(self.N))
         z = self._V @ x
         out = np.zeros(self.M, dtype=np.result_type(self.lam, z))
-        out[:k] = self.lam * z[:k]
+        out[:k] = self.lam * z
         return out
 
     def apply_avh(self, s: np.ndarray) -> np.ndarray:
@@ -144,32 +146,30 @@ class Factorization:
         k = min(self.shape)
         if self.kind == "dft":
             return np.fft.ifft(np.conj(self.lam) * s) * np.sqrt(self.N)
-        w = np.zeros(self.N, dtype=np.result_type(self.lam, s))
-        w[:k] = np.conj(self.lam) * s[:k]
-        return self._V.conj().T @ w
+        return self._V.conj().T @ (np.conj(self.lam) * s[:k])
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:
-        """Return U^H y (length M)."""
+        """Return U_k^H y, the first k entries of U^H y (all M for "dft")."""
         if self.kind == "dft":
             return np.fft.fft(y) / np.sqrt(self.N)
         return self._U.conj().T @ y
 
     def reconstruct(self) -> np.ndarray:
         """Densify U Lam V.  Round-trips the factorized matrix."""
-        k = min(self.shape)
         if self.kind == "dft":
             f = self._dft
             return f.conj().T @ (self.lam[:, None] * f)
-        return (self._U[:, :k] * self.lam) @ self._V[:k, :]
+        return (self._U * self.lam) @ self._V
 
 
 def svd_factorize(A) -> Factorization:
-    """Full SVD factorization of a dense matrix (works for any shape)."""
+    """Thin SVD of a dense matrix of any shape: U_k (M x k) and V_k (k x N)
+    hold M*k + k*N entries where a full SVD holds M^2 + N^2."""
     A = _as_float_or_complex(A)
     if A.ndim != 2:
         raise FactorizationError(f"need a 2-D array, got shape {A.shape}")
     try:
-        u, s, vh = np.linalg.svd(A, full_matrices=True)
+        u, s, vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD failed to converge: {exc}") from exc
     return Factorization(kind="svd", lam=s, shape=A.shape, _U=u, _V=vh)
@@ -214,21 +214,25 @@ class TransformedModel:
 
 
 def unitary_transform(model: LinearModel, fact: Factorization) -> TransformedModel:
-    """Precompute everything the transform-domain solver needs."""
+    """Precompute everything the transform-domain solver needs.
+
+    r = U^H y (length M) for U_k completed by the normalized part of y
+    outside its range: r[:k] = U_k^H y, r[k] = ||y - U_k U_k^H y|| when
+    M > k, zeros after.  So ||r - Lam V x|| = ||y - A x|| for every x.
+    """
     if fact.shape != (model.M, model.N):
         raise ValueError(f"factorization shape {fact.shape} does not match model ({model.M}, {model.N})")
     k = min(fact.shape)
+    r = np.pad(fact.apply_uh(model.y), (0, fact.M - k))
+    if fact.M > k:
+        r[k] = np.linalg.norm(model.y - fact.U @ r[:k])
     lam2 = np.abs(fact.lam) ** 2
-    lam_p = np.zeros(fact.M)
-    lam_p[:k] = lam2
-    lam_s = np.zeros(fact.N)
-    lam_s[:k] = lam2
     return TransformedModel(
         fact=fact,
-        r=fact.apply_uh(model.y),
+        r=r,
         sigma2=model.sigma2,
-        lam_p=lam_p,
-        lam_s=lam_s,
+        lam_p=np.pad(lam2, (0, fact.M - k)),
+        lam_s=np.pad(lam2, (0, fact.N - k)),
     )
 
 

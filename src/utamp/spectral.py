@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .denoisers import GaussianPrior
 from .model import Factorization, LinearModel, svd_factorize
@@ -212,6 +211,7 @@ def numeric_iteration_matrix(
 def eigenvalue_discrepancy(a, b) -> float:
     """Max absolute difference under the optimal one-to-one matching of two
     eigenvalue multisets (they come in arbitrary order)."""
+    from scipy.optimize import linear_sum_assignment  # slow import, --check-numeric only
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:

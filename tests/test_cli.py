@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from utamp import load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
+from utamp import certify, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
+from utamp import cli
 from utamp.cli import main, parse_ensemble, parse_prior, CliError
 from utamp.denoisers import BernoulliGaussianPrior, GaussianPrior
 
@@ -178,6 +182,45 @@ def test_compare_writes_summary(tmp_path, capsys):
     ut = next(r for r in rows if r["algorithm"] == "utamp")
     assert ut["status"] == "converged"
     assert float(ut["lmmse_gap"]) < 1e-6
+
+
+def test_compare_matrix_file_factorizes_once(tmp_path, capsys, monkeypatch):
+    A = generate_matrix(EnsembleSpec(kind="column_correlated", M=60, N=30, seed=4))
+    path = tmp_path / "A.txt"
+    save_matrix(path, A)
+
+    svd_calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(kwargs)
+        return real_svd(*args, **kwargs)
+
+    certs = []
+    real_certify = cli.certify
+
+    def spy_certify(*args, **kwargs):
+        certs.append(real_certify(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cli, "certify", spy_certify)
+    code = main(["compare", "--matrix", str(path), "--sigma2", "0.01", "--seed", "2"])
+    monkeypatch.undo()
+
+    assert code == 0
+    assert len(svd_calls) == 1, f"expected one SVD per problem, got {len(svd_calls)}"
+    want = certify(A, GaussianPrior(), sigma2=0.01).spectral_radius
+    assert len(certs) == 1
+    assert abs(certs[0].spectral_radius - want) <= 1e-12
+    assert f"certificate: spectral radius {want:.6g} (contractive)" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, utamp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_compare_needs_two_algorithms(capsys):

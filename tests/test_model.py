@@ -48,21 +48,30 @@ def test_svd_factorization_identities(shape, complex_entries):
     if complex_entries:
         A = A + 1j * rng.standard_normal(shape)
     f = svd_factorize(A)
+    m, n = shape
+    k = min(shape)
 
-    assert np.allclose(f.reconstruct(), A), "U Lam V must reproduce A"
-    assert np.allclose(f.U @ f.U.conj().T, np.eye(shape[0]), atol=1e-12)
-    assert np.allclose(f.V @ f.V.conj().T, np.eye(shape[1]), atol=1e-12)
+    # thin storage: U_k is M x k, V_k is k x N, both with orthonormal rows/columns
+    assert f.U.shape == (m, k) and f.V.shape == (k, n)
+    assert np.allclose(f.U.conj().T @ f.U, np.eye(k), atol=1e-12)
+    assert np.allclose(f.V @ f.V.conj().T, np.eye(k), atol=1e-12)
+    assert np.allclose(f.reconstruct(), A), "U_k Lam V_k must reproduce A"
 
-    x = rng.standard_normal(shape[1])
-    y = rng.standard_normal(shape[0])
-    # Lam V x lives in the transform domain: lifting it back with U gives A x
-    assert np.allclose(f.U @ f.apply_av(x), A @ x)
-    assert np.allclose(f.apply_uh(A @ x), f.apply_av(x))
-    # adjoint identity <s, Lam V x> = <V^H Lam^H s, x>
-    s = rng.standard_normal(shape[0])
-    lhs = np.vdot(s, f.apply_av(x))
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(m)
+    # Lam V x lives in the transform domain: rows past k are zero, and
+    # lifting the first k back with U_k gives A x
+    lvx = f.apply_av(x)
+    assert lvx.shape == (m,)
+    assert np.all(lvx[k:] == 0.0)
+    assert np.allclose(f.U @ lvx[:k], A @ x)
+    assert np.allclose(f.apply_uh(A @ x), lvx[:k])
+    # adjoint identity <s, Lam V x> = <V^H Lam^H s, x>, and both against A
+    s = rng.standard_normal(m)
+    lhs = np.vdot(s, lvx)
     rhs = np.vdot(f.apply_avh(s), x)
     assert np.isclose(lhs, rhs), f"adjoint mismatch {lhs} vs {rhs}"
+    assert np.isclose(np.vdot(y, A @ x), np.vdot(f.apply_avh(f.apply_uh(y)), x))
     assert np.allclose(f.apply_avh(f.apply_uh(y)), A.conj().T @ y)
 
 
@@ -120,7 +129,14 @@ def test_unitary_transform_padding(shape):
     assert np.allclose(t.lam_p[:k], f.lam**2)
     assert np.allclose(t.lam_p[k:], 0.0)
     assert np.allclose(t.lam_s[k:], 0.0)
-    assert np.allclose(t.r, f.U.conj().T @ model.y)
+    # r is U^H y for U completed by the normalized out-of-range part of y
+    assert t.r.shape == (shape[0],)
+    assert np.allclose(t.r[:k], f.U.conj().T @ model.y)
+    assert np.all(t.r[k + 1:] == 0.0)
+    assert np.isclose(np.linalg.norm(t.r), np.linalg.norm(model.y))
+    for _ in range(3):
+        x = rng.standard_normal(shape[1])
+        assert np.isclose(np.linalg.norm(t.r - f.apply_av(x)), np.linalg.norm(model.y - A @ x))
     # row/column sums of |Lam|^2 in matrix form
     lam_full = np.zeros(shape)
     lam_full[:k, :k] = np.diag(f.lam)

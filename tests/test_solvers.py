@@ -9,6 +9,7 @@ from utamp import (
     GaussianPrior,
     BernoulliGaussianPrior,
     LinearModel,
+    TransformedModel,
     circulant_factorize,
     generate_matrix,
     initial_state,
@@ -98,35 +99,48 @@ def test_scalar_step_matches_manual_computation():
 
 def test_ut_step_matches_manual_computation():
     rng = np.random.default_rng(3)
-    A = rng.standard_normal((5, 7))
-    prior = GaussianPrior(tau0=2.0)
-    model = LinearModel(A, rng.standard_normal(5), 0.4)
-    fact = svd_factorize(A)
-    tm = unitary_transform(model, fact)
-    state = initial_state("utamp", 7, 5, prior)
-    state.x = rng.standard_normal(7)
-    state.s = rng.standard_normal(5)
+    for m, n in [(5, 7), (7, 5)]:
+        A = rng.standard_normal((m, n))
+        prior = GaussianPrior(tau0=2.0)
+        model = LinearModel(A, rng.standard_normal(m), 0.4)
+        fact = svd_factorize(A)
+        tm = unitary_transform(model, fact)
+        state = initial_state("utamp", n, m, prior)
+        state.x = rng.standard_normal(n)
+        state.s = rng.standard_normal(m)
 
-    new, sc = ut_amp_step(state, tm, prior)
+        new, sc = ut_amp_step(state, tm, prior)
 
-    k = 5
-    lam_full = np.zeros((5, 7))
-    lam_full[:k, :k] = np.diag(fact.lam)
-    lam_p = np.sum(lam_full**2, axis=1)
-    tau_p = 1.0 * 2.0 * lam_p / 2.0  # tau_x = mean prior variance = 2.0
-    tau_p = 2.0 * lam_p
-    p = lam_full @ (fact.V @ state.x) - tau_p * state.s
-    tau_s = 1.0 / (tau_p + 0.4)
-    s = tau_s * (tm.r - p)
-    tau_q = 7 / np.dot(lam_p, tau_s)
-    q = state.x + tau_q * (fact.V.conj().T @ (lam_full.T @ s))
-    var = 2.0 * tau_q / (2.0 + tau_q)
+        # full unitary factors: the library's thin ones completed by the
+        # trailing singular vectors of a test-local full SVD
+        k = min(m, n)
+        u_full, _, vh_full = np.linalg.svd(A, full_matrices=True)
+        U = np.hstack([fact.U, u_full[:, k:]])
+        V = np.vstack([fact.V, vh_full[k:]])
+        assert np.allclose(U.T @ U, np.eye(m), atol=1e-12)
+        assert np.allclose(V @ V.T, np.eye(n), atol=1e-12)
+        lam_full = np.zeros((m, n))
+        lam_full[:k, :k] = np.diag(fact.lam)
+        assert np.allclose(U @ lam_full @ V, A)
 
-    assert np.allclose(sc.tau_p, tau_p)
-    assert np.allclose(sc.p, p)
-    assert np.isclose(sc.tau_q, tau_q)
-    assert np.allclose(sc.q, q)
-    assert np.isclose(new.tau_x, var)
+        lam_p = np.sum(lam_full**2, axis=1)
+        tau_p = 2.0 * lam_p  # tau_x = mean prior variance = 2.0
+        p = lam_full @ (V @ state.x) - tau_p * state.s
+        tau_s = 1.0 / (tau_p + 0.4)
+        s = tau_s * (U.T @ model.y - p)
+        tau_q = n / np.dot(lam_p, tau_s)
+        q = state.x + tau_q * (V.conj().T @ (lam_full.T @ s))
+        var = 2.0 * tau_q / (2.0 + tau_q)
+
+        assert np.allclose(sc.tau_p, tau_p)
+        assert np.allclose(sc.p, p)
+        # s past row k is the out-of-range residual; only its norm is basis-free
+        assert np.allclose(sc.s[:k], s[:k])
+        assert np.isclose(np.linalg.norm(sc.s[k:]), np.linalg.norm(s[k:]))
+        assert np.isclose(sc.tau_q, tau_q)
+        assert np.allclose(sc.q, q)
+        assert np.allclose(new.x, 2.0 / (2.0 + tau_q) * q)
+        assert np.isclose(new.tau_x, var)
 
 
 def test_ut_step_dft_equals_svd_route():
@@ -146,6 +160,82 @@ def test_ut_step_dft_equals_svd_route():
         ss, _ = ut_amp_step(ss, ts, prior)
         assert np.allclose(sd.x, ss.x, atol=1e-11)
         assert np.isclose(sd.tau_x, ss.tau_x)
+
+
+class _FullSVD:
+    """Test-local full-SVD transform: U is M x M and V is N x N, so r = U^H y
+    is the plain unitary transform.  The oracle for the thin factorization."""
+
+    def __init__(self, A):
+        self.U, lam, self.V = np.linalg.svd(A, full_matrices=True)
+        self.M, self.N = A.shape
+        k = min(A.shape)
+        self.lam_full = np.zeros(A.shape)
+        self.lam_full[:k, :k] = np.diag(lam)
+
+    def apply_av(self, x):
+        return self.lam_full @ (self.V @ x)
+
+    def apply_avh(self, s):
+        return self.V.conj().T @ (self.lam_full.T @ s)
+
+
+def _ut_iterates(tm, model, prior, max_iters, x_tol):
+    # the run() loop for utamp, keeping every iterate
+    dtype = np.result_type(tm.r.dtype, float)
+    state = initial_state("utamp", model.N, model.M, prior, dtype=dtype)
+    xs = [state.x]
+    for _ in range(max_iters):
+        prev = state.x
+        state, _ = ut_amp_step(state, tm, prior)
+        xs.append(state.x)
+        rel = np.linalg.norm(state.x - prev) / max(np.linalg.norm(state.x), 1e-300)
+        if rel <= x_tol:
+            return xs, "converged"
+    return xs, "max_iters"
+
+
+def _oracle_case(name):
+    rng = np.random.default_rng(17)
+    prior = GaussianPrior()
+    if name == "complex":
+        A = (rng.standard_normal((30, 20)) + 1j * rng.standard_normal((30, 20))) / np.sqrt(60)
+        prior = GaussianPrior(complex_valued=True)
+    elif name == "rank_deficient":
+        A = generate_matrix(EnsembleSpec(kind="rank_deficient", M=40, N=30, rank=10, seed=2))
+    elif name == "ill_conditioned":
+        A = generate_matrix(EnsembleSpec(kind="ill_conditioned", M=40, N=30, condition_number=1e10, seed=3))
+    else:
+        m, n = {"tall": (40, 25), "wide": (25, 40), "square": (30, 30)}[name]
+        A = generate_matrix(EnsembleSpec(kind="column_correlated", M=m, N=n, seed=1))
+    return synthesize_instance(A, prior, sigma2=0.01, seed=5), prior
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "square", "rank_deficient", "ill_conditioned", "complex"])
+def test_utamp_matches_full_svd_oracle(case):
+    model, prior = _oracle_case(case)
+    full = _FullSVD(model.A)
+    oracle = TransformedModel(
+        fact=full,
+        r=full.U.conj().T @ model.y,
+        sigma2=model.sigma2,
+        lam_p=np.sum(full.lam_full**2, axis=1),
+        lam_s=np.sum(full.lam_full**2, axis=0),
+    )
+    want, want_status = _ut_iterates(oracle, model, prior, max_iters=500, x_tol=1e-12)
+    thin = unitary_transform(model, svd_factorize(model.A))
+    got, got_status = _ut_iterates(thin, model, prior, max_iters=500, x_tol=1e-12)
+
+    assert want_status == got_status == "converged"
+    assert len(got) == len(want)
+    for t, (a, b) in enumerate(zip(got, want)):
+        assert np.max(np.abs(a - b)) <= 1e-12, f"iterate {t} differs by {np.max(np.abs(a - b)):.2e}"
+
+    state, trace = run("utamp", model, prior, max_iters=500, x_tol=1e-12)
+    assert trace.status == want_status and state.t == len(want) - 1
+    assert np.max(np.abs(state.x - want[-1])) <= 1e-12
+    direct = [np.linalg.norm(model.y - model.A @ x) for x in want]
+    assert np.allclose(trace.column("residual"), direct, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------- run loop
