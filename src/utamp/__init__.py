@@ -14,7 +14,7 @@ from .denoisers import (
     denoiser_variance_modes,
     gaussian_denoise,
 )
-from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, generate_matrix, stream, synthesize_instance
+from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_matrix, stream, synthesize_instance
 from .matrixio import load_matrix, load_vector, save_matrix, save_vector
 from .model import (
     Factorization,
@@ -33,6 +33,7 @@ from .solvers import (
     Trace,
     initial_state,
     lmmse_solve,
+    lmmse_transformed,
     run,
     scalar_amp_step,
     ut_amp_step,
@@ -74,6 +75,7 @@ __all__ = [
     "bg_denoise",
     "certify",
     "circulant_factorize",
+    "circulant_taps",
     "closed_form_eigenvalues",
     "denoiser_variance_modes",
     "eigenvalue_discrepancy",
@@ -81,6 +83,7 @@ __all__ = [
     "generate_matrix",
     "initial_state",
     "lmmse_solve",
+    "lmmse_transformed",
     "load_matrix",
     "load_vector",
     "numeric_iteration_matrix",

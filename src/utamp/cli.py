@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .denoisers import BernoulliGaussianPrior, GaussianPrior
-from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_matrix, generate_matrix, synthesize_instance
+from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_matrix, circulant_taps, generate_matrix, synthesize_instance
 from .matrixio import load_matrix, load_vector, save_matrix
-from .model import FactorizationError, LinearModel, circulant_factorize, svd_factorize
-from .solvers import lmmse_solve, run
+from .model import FactorizationError, LinearModel, circulant_factorize, svd_factorize, unitary_transform
+from .solvers import lmmse_transformed, run
 from .spectral import UnsupportedPriorError, certify
 
 __all__ = ["main", "console_main", "build_parser"]
@@ -140,7 +140,12 @@ def _is_circulant(A: np.ndarray) -> bool:
 
 
 def _resolve_problem(args, prior):
-    """Build (model, fact, kind_label) from either --matrix or ensemble tokens."""
+    """Build (model, fact, kind_label) from either --matrix or ensemble tokens.
+
+    A circulant ensemble solved by FFT is circulant by construction: its
+    model holds the DFT factorization and no N x N array is formed.
+    """
+    choice = getattr(args, "factorization", "auto")
     circulant_known = False
     if args.matrix is not None:
         if args.ensemble:
@@ -152,15 +157,15 @@ def _resolve_problem(args, prior):
         if not args.ensemble:
             raise CliError("need a problem: either --matrix FILE or an ensemble description (KIND M N ...)")
         spec = parse_ensemble(args.ensemble)
-        A = generate_matrix(spec)
         label = spec.kind
-        circulant_known = spec.kind == "circulant"
+        if spec.kind == "circulant" and choice != "svd":
+            A = circulant_factorize(circulant_taps(spec))
+        else:
+            A = generate_matrix(spec)
 
-    if np.iscomplexobj(A):
+    if isinstance(A, np.ndarray) and np.iscomplexobj(A):
         prior.complex_valued = True
 
-    y = None
-    x_true = None
     if getattr(args, "observations", None):
         y = load_vector(args.observations)
         if y.shape[0] != A.shape[0]:
@@ -169,13 +174,14 @@ def _resolve_problem(args, prior):
     else:
         model = synthesize_instance(A, prior, sigma2=args.sigma2, seed=args.seed)
 
-    choice = getattr(args, "factorization", "auto")
-    if choice == "auto":
-        choice = "dft" if circulant_known and _is_circulant(A) else "svd"
-    if choice == "dft":
-        if not _is_circulant(A):
-            raise CliError("--factorization dft needs a circulant matrix (first column must generate it)")
+    if model.fact is not None:
+        fact = model.fact
+    elif choice == "svd" or (choice == "auto" and not circulant_known):
+        fact = svd_factorize(A)
+    elif _is_circulant(A):
         fact = circulant_factorize(A[:, 0])
+    elif choice == "dft":
+        raise CliError("--factorization dft needs a circulant matrix (first column must generate it)")
     else:
         fact = svd_factorize(A)
     return model, fact, label
@@ -207,7 +213,7 @@ def _nmse_db(x, x_true):
 
 
 def _run_algorithms(model, fact, prior, names, args, out_dir):
-    xstar = lmmse_solve(model, prior) if isinstance(prior, GaussianPrior) else None
+    xstar = lmmse_transformed(unitary_transform(model, fact), prior) if isinstance(prior, GaussianPrior) else None
     rows = []
     for name in names:
         kernel = _ALGO_NAMES[name]

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LinearModel
+from .model import Factorization, LinearModel, circulant_matrix, factor_matvec
 
-__all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_matrix", "generate_matrix", "synthesize_instance"]
+__all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_matrix", "circulant_taps", "generate_matrix", "synthesize_instance"]
 
 ENSEMBLE_KINDS = (
     "iid_gaussian",
@@ -94,10 +94,14 @@ def _spread_spectrum(kappa: float, count: int) -> np.ndarray:
     return s / np.sqrt(np.mean(s**2))
 
 
-def circulant_matrix(first_column) -> np.ndarray:
-    """Dense circulant matrix C[i, j] = c[(i - j) % n] with first column c."""
-    n = len(first_column)
-    return np.asarray(first_column)[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+def circulant_taps(spec: EnsembleSpec) -> np.ndarray:
+    """First column of the circulant matrix described by spec, drawn from
+    the same stream as generate_matrix, without forming the matrix."""
+    if spec.kind != "circulant":
+        raise ValueError(f"taps belong to the circulant ensemble, got {spec.kind!r}")
+    if spec.taps is not None:
+        return spec.taps
+    return stream(spec.seed, DOMAIN_MATRIX).standard_normal(spec.N) / np.sqrt(spec.N)
 
 
 def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
@@ -137,10 +141,7 @@ def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
         return g @ half
 
     if spec.kind == "circulant":
-        taps = spec.taps
-        if taps is None:
-            taps = rng.standard_normal(n) / np.sqrt(n)
-        return circulant_matrix(taps)
+        return circulant_matrix(circulant_taps(spec))
 
     raise AssertionError(f"unhandled kind {spec.kind}")
 
@@ -148,17 +149,20 @@ def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
 def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
     """Draw x from the prior and noise from N(0, sigma2), return the model.
 
+    A is a dense matrix or a Factorization; a factorization forms A x from
+    its factors (two FFTs for a circulant) and gives a matrix-free model.
     The signal and noise streams depend only on (seed, domain), never on the
     matrix, so regenerating A with different knobs keeps the same x and n.
     Complex matrices or priors get circularly-symmetric complex noise.
     """
-    A = np.asarray(A)
+    if not isinstance(A, Factorization):
+        A = np.asarray(A)
     m, n = A.shape
     x = prior.sample(n, stream(seed, DOMAIN_SIGNAL))
+    ax = factor_matvec(A, x) if isinstance(A, Factorization) else A @ x
     rng = stream(seed, DOMAIN_NOISE)
-    if np.iscomplexobj(A) or np.iscomplexobj(x):
+    if np.iscomplexobj(ax):
         noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     else:
         noise = np.sqrt(sigma2) * rng.standard_normal(m)
-    y = A @ x + noise
-    return LinearModel(A=A, y=y, sigma2=sigma2, x_true=x)
+    return LinearModel(A=A, y=ax + noise, sigma2=sigma2, x_true=x)

@@ -1,6 +1,7 @@
 """Measurement model and unitary factorizations.
 
-A model is the triple (A, y, sigma2) for y = A x + n with n ~ N(0, sigma2 I).
+A model is the triple (A, y, sigma2) for y = A x + n with n ~ N(0, sigma2 I);
+A is held densely or, matrix-free, as its factorization.
 A factorization A = U Lam V (U, V unitary, Lam diagonal of singular values,
 rectangular when M != N) supports the transformed model r = U^H y = Lam V x + w,
 which is what the transform-domain solver iterates on.  Dense factors are
@@ -22,6 +23,8 @@ __all__ = [
     "FactorizationError",
     "svd_factorize",
     "circulant_factorize",
+    "circulant_matrix",
+    "factor_matvec",
     "unitary_transform",
     "scaled_gram_diagonal",
 ]
@@ -38,43 +41,64 @@ def _as_float_or_complex(a):
     return a.astype(np.float64)
 
 
-@dataclass(eq=False)
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    # bad input is rejected where it enters, not reported later as a divergence
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+    return a
+
+
 class LinearModel:
     """Immutable-by-convention container for one inverse problem instance.
 
+    A is a dense matrix or a Factorization of it.  A model that holds a
+    factorization is matrix-free: ``fact`` is reused by the transform-domain
+    solver and the certificate, and the dense ``A`` (with ``abs2`` and
+    ``frob2``) is built on first read, for the consumers that need it (the
+    AMP baselines and the dense ``lmmse_solve``).  ``fact`` is None for a
+    dense model.
+
     x_true is optional; when present it enables error tracking but is never
-    read by the solver steps themselves.
+    read by the solver steps themselves.  Non-finite entries are rejected.
     """
 
-    A: np.ndarray
-    y: np.ndarray
-    sigma2: float
-    x_true: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.A = _as_float_or_complex(self.A)
-        if self.A.ndim != 2:
-            raise ValueError(f"A must be 2-D, got shape {self.A.shape}")
-        self.y = _as_float_or_complex(self.y)
-        if self.y.ndim != 1 or self.y.shape[0] != self.A.shape[0]:
-            raise ValueError(f"y must be a length-{self.A.shape[0]} vector, got shape {self.y.shape}")
-        self.sigma2 = float(self.sigma2)
+    def __init__(self, A, y, sigma2: float, x_true=None):
+        self.fact = A if isinstance(A, Factorization) else None
+        if self.fact is not None:
+            _finite(A.lam, "A")
+        else:
+            A = _as_float_or_complex(A)
+            if A.ndim != 2:
+                raise ValueError(f"A must be 2-D, got shape {A.shape}")
+            self.A = _finite(A, "A")
+        self.shape = A.shape
+        self.y = _as_float_or_complex(y)
+        if self.y.ndim != 1 or self.y.shape[0] != self.M:
+            raise ValueError(f"y must be a length-{self.M} vector, got shape {self.y.shape}")
+        _finite(self.y, "y")
+        self.sigma2 = float(sigma2)
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        self.x_true = None if x_true is None else _as_float_or_complex(x_true)
         if self.x_true is not None:
-            self.x_true = _as_float_or_complex(self.x_true)
-            if self.x_true.shape != (self.A.shape[1],):
-                raise ValueError(
-                    f"x_true must have shape ({self.A.shape[1]},), got {self.x_true.shape}"
-                )
+            if self.x_true.shape != (self.N,):
+                raise ValueError(f"x_true must have shape ({self.N},), got {self.x_true.shape}")
+            _finite(self.x_true, "x_true")
 
     @property
     def M(self) -> int:
-        return self.A.shape[0]
+        return self.shape[0]
 
     @property
     def N(self) -> int:
-        return self.A.shape[1]
+        return self.shape[1]
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Dense A, densified from the factorization on first read."""
+        if self.fact.kind == "dft":
+            return circulant_matrix(_circulant_column(self.fact))
+        return self.fact.reconstruct()
 
     @cached_property
     def abs2(self) -> np.ndarray:
@@ -184,9 +208,36 @@ def circulant_factorize(first_column) -> Factorization:
     c = _as_float_or_complex(np.asarray(first_column))
     if c.ndim != 1 or c.size < 1:
         raise FactorizationError(f"first column must be a nonempty 1-D array, got shape {c.shape}")
-    lam = np.fft.fft(c)
+    lam = np.fft.fft(_finite(c, "first column"))
     n = c.size
     return Factorization(kind="dft", lam=lam, shape=(n, n))
+
+
+def circulant_matrix(first_column) -> np.ndarray:
+    """Dense circulant matrix C[i, j] = c[(i - j) % n] with first column c."""
+    n = len(first_column)
+    return np.asarray(first_column)[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+
+
+def _circulant_column(fact: Factorization) -> np.ndarray:
+    """First column of the circulant matrix behind a "dft" factorization.
+
+    It is real when its imaginary part is FFT rounding (below 1e-12 of its
+    norm), so real taps give back a real matrix.
+    """
+    c = np.fft.ifft(fact.lam)
+    return c.real if np.linalg.norm(c.imag) <= 1e-12 * np.linalg.norm(c) else c
+
+
+def factor_matvec(fact: Factorization, x: np.ndarray) -> np.ndarray:
+    """A x from the factors: two FFTs for "dft", U_k (Lam V_k x) for "svd".
+
+    The result is real exactly when A and x are, as for a dense A @ x.
+    """
+    if fact.kind == "dft":
+        ax = np.fft.ifft(fact.lam * np.fft.fft(x))
+        return ax.real if np.isrealobj(x) and np.isrealobj(_circulant_column(fact)) else ax
+    return fact.U @ fact.apply_av(x)[: min(fact.shape)]
 
 
 @dataclass(eq=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import GaussianPrior
-from .model import Factorization, LinearModel, TransformedModel, scaled_gram_diagonal, svd_factorize, unitary_transform
+from .model import Factorization, LinearModel, TransformedModel, svd_factorize, unitary_transform
 
 __all__ = [
     "ALGORITHMS",
@@ -36,6 +36,7 @@ __all__ = [
     "initial_state",
     "run",
     "lmmse_solve",
+    "lmmse_transformed",
 ]
 
 ALGORITHMS = ("vector", "scalar", "utamp")
@@ -86,7 +87,7 @@ def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     reciprocal of |A^H|^2 tau_s.
     """
     A = model.A
-    tau_p = scaled_gram_diagonal(A, np.asarray(state.tau_x, dtype=float))
+    tau_p = model.abs2 @ np.asarray(state.tau_x, dtype=float)
     p = A @ state.x - tau_p * state.s
     tau_s = 1.0 / (tau_p + model.sigma2)
     s = tau_s * (model.y - p)
@@ -209,6 +210,9 @@ def run(
 ) -> tuple[SolverState, Trace]:
     """Drive one of the three kernels to termination.
 
+    utamp uses fact when given, else the model's own factorization, else a
+    thin SVD of model.A.
+
     Stops when the relative change of x drops to x_tol (converged), after
     max_iters iterations (max_iters), or when the estimate blows past
     divergence_norm or goes non-finite (diverged).  max_iters = 0 is valid
@@ -223,7 +227,7 @@ def run(
 
     if algorithm == "utamp":
         if fact is None:
-            fact = svd_factorize(model.A)
+            fact = model.fact if model.fact is not None else svd_factorize(model.A)
         tmodel = unitary_transform(model, fact)
         problem = tmodel
         dtype = np.result_type(tmodel.r.dtype, float)
@@ -299,3 +303,21 @@ def lmmse_solve(model: LinearModel, prior: GaussianPrior) -> np.ndarray:
     lhs[np.diag_indices(n)] += 1.0 / tau0
     rhs = A.conj().T @ y / sigma2 + x0 / tau0
     return np.linalg.solve(lhs, rhs)
+
+
+def lmmse_transformed(tmodel: TransformedModel, prior: GaussianPrior) -> np.ndarray:
+    """Gaussian posterior mean in transform coordinates, for a scalar tau0.
+
+    With A = U Lam V the posterior mean x0 + tau0 A^H (tau0 A A^H +
+    sigma2 I)^{-1} (y - A x0) becomes a diagonal solve,
+    x0 + tau0 V^H Lam^H (r - Lam V x0) / (tau0 lam_p + sigma2): two applies
+    instead of a dense O(N^3) solve.  Rows of r past the rank meet
+    lam_p = 0 and are never read.  Heterogeneous priors need lmmse_solve.
+    """
+    if not isinstance(prior, GaussianPrior):
+        raise TypeError("lmmse_transformed needs a Gaussian prior")
+    if prior.tau0.ndim != 0:
+        raise ValueError("lmmse_transformed needs a scalar prior variance; use lmmse_solve")
+    fact, tau0 = tmodel.fact, float(prior.tau0)
+    x0 = prior.mean_vector(tmodel.N)
+    return x0 + tau0 * fact.apply_avh((tmodel.r - fact.apply_av(x0)) / (tau0 * tmodel.lam_p + tmodel.sigma2))

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from utamp import certify, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
+from utamp import certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
 from utamp import cli
 from utamp.cli import main, parse_ensemble, parse_prior, CliError
 from utamp.denoisers import BernoulliGaussianPrior, GaussianPrior
@@ -110,6 +111,72 @@ def test_solve_exit_two_when_everything_diverges(tmp_path):
 def test_solve_circulant_uses_fft_route(capsys):
     code = main(["solve", "circulant", "32", "32", "seed=5", "--sigma2", "0.05", "--algorithms", "utamp"])
     assert code == 0
+
+
+def test_solve_circulant_never_forms_an_n_by_n_array(capsys):
+    n = 4096
+    tracemalloc.start()
+    try:
+        code = main(["solve", "circulant", str(n), str(n), "seed=1", "--seed", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "converged" in out
+    # one N x N float64 array is n * n * 8 bytes
+    assert peak < n * n * 8 / 8, f"peak allocation {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("extra", [[], ["--factorization", "svd"], ["--factorization", "dft"]])
+def test_solve_circulant_all_algorithms(extra, capsys):
+    # the AMP baselines densify the matrix-free model on demand
+    code = main(["solve", "circulant", "32", "32", "seed=3", "--algorithms", "all", *extra])
+    assert code == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:]]
+    assert [r[0] for r in rows] == ["amp-vec", "amp-scalar", "utamp"]
+    for r in rows:
+        assert r[1] == "converged" and float(r[5]) < 1e-8, r
+
+
+@pytest.mark.parametrize("choice", ["auto", "dft"])
+def test_circulant_matrix_file_is_checked_once(tmp_path, capsys, monkeypatch, choice):
+    A = generate_matrix(EnsembleSpec(kind="circulant", M=16, N=16, seed=2))
+    # within the check's tolerance: still taken as circulant
+    A[3, 5] += 1e-14
+    save_matrix(tmp_path / "A.txt", A)
+    calls = []
+    real_check = cli._is_circulant
+
+    def counting_check(M):
+        calls.append(M.shape)
+        return real_check(M)
+
+    factorized = []
+
+    def counting_factorize(c):
+        factorized.append(c)
+        return circulant_factorize(c)
+
+    monkeypatch.setattr(cli, "_is_circulant", counting_check)
+    monkeypatch.setattr(cli, "circulant_factorize", counting_factorize)
+    code = main(["solve", "--matrix", str(tmp_path / "A.txt"), "--circulant", "--factorization", choice])
+    assert code == 0
+    assert calls == [(16, 16)], f"_is_circulant ran {len(calls)} times"
+    assert len(factorized) == 1, "a circulant file must take the FFT route"
+    capsys.readouterr()
+
+
+def test_solve_rejects_non_finite_input(tmp_path, capsys):
+    A = generate_matrix(EnsembleSpec(kind="iid_gaussian", M=6, N=4, seed=1))
+    save_matrix(tmp_path / "A.txt", A)
+    (tmp_path / "y.txt").write_text("6 1 real\n1\n2\nnan\n4\n5\n6\n")
+    code = main(["solve", "--matrix", str(tmp_path / "A.txt"), "--observations", str(tmp_path / "y.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("utamp: error: y has non-finite"), err
+    assert main(["solve", "circulant", "3", "3", "taps=1,nan,0"]) == 1
+    assert capsys.readouterr().err.startswith("utamp: error: first column has non-finite")
 
 
 def test_solve_dft_on_noncirculant_fails(tmp_path, capsys):

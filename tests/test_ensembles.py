@@ -6,7 +6,10 @@ from utamp import (
     ENSEMBLE_KINDS,
     GaussianPrior,
     BernoulliGaussianPrior,
+    circulant_factorize,
+    circulant_taps,
     generate_matrix,
+    svd_factorize,
     stream,
     synthesize_instance,
 )
@@ -111,6 +114,40 @@ def test_circulant_structure_and_taps():
     assert np.array_equal(np.roll(A[0], 1), A[1])
     B = generate_matrix(EnsembleSpec(kind="circulant", M=6, N=6, seed=9))
     assert np.array_equal(B[:, 0][(np.arange(6)[:, None] - np.arange(6)[None, :]) % 6], B)
+
+
+def test_circulant_taps_are_the_generated_first_column():
+    for spec in (EnsembleSpec(kind="circulant", M=9, N=9, seed=4),
+                 EnsembleSpec(kind="circulant", M=4, N=4, taps=[2.0, 1.0, 0.0, 1.0])):
+        assert np.array_equal(circulant_taps(spec), generate_matrix(spec)[:, 0])
+    with pytest.raises(ValueError):
+        circulant_taps(EnsembleSpec(kind="iid_gaussian", M=3, N=3))
+
+
+@pytest.mark.parametrize("case", ["dft", "dft_complex_taps", "dft_complex_prior", "svd"])
+def test_synthesize_from_factorization_matches_dense_route(case):
+    # same signal and noise draws as the dense route; only A x is formed
+    # from the factors, so y agrees to rounding and keeps its dtype
+    spec = EnsembleSpec(kind="circulant", M=64, N=64, seed=3)
+    A = generate_matrix(spec)
+    taps = circulant_taps(spec)
+    prior = GaussianPrior(x0=0.5)
+    if case == "dft_complex_taps":
+        taps = taps + 1j * np.random.default_rng(1).standard_normal(64) / 8.0
+        A = taps[(np.arange(64)[:, None] - np.arange(64)[None, :]) % 64]
+    if case == "dft_complex_prior":
+        prior = GaussianPrior(complex_valued=True)
+    if case == "svd":
+        A = generate_matrix(EnsembleSpec(kind="ill_conditioned", M=50, N=30, seed=2))
+        fact = svd_factorize(A)
+    else:
+        fact = circulant_factorize(taps)
+    dense = synthesize_instance(A, prior, sigma2=0.1, seed=8)
+    free = synthesize_instance(fact, prior, sigma2=0.1, seed=8)
+    assert free.fact is fact and "A" not in vars(free)
+    assert np.array_equal(free.x_true, dense.x_true)
+    assert free.y.dtype == dense.y.dtype == (float if case in ("dft", "svd") else complex)
+    assert np.linalg.norm(free.y - dense.y) <= 1e-13 * np.linalg.norm(dense.y)
 
 
 def test_synthesize_instance_reproducible_and_consistent():

@@ -3,10 +3,12 @@ import pytest
 
 from utamp import (
     FactorizationError,
+    GaussianPrior,
     LinearModel,
     circulant_factorize,
     load_matrix,
     load_vector,
+    run,
     save_matrix,
     save_vector,
     scaled_gram_diagonal,
@@ -30,6 +32,47 @@ def test_linear_model_validation():
         LinearModel(A, y, 0.5, x_true=np.ones(3))
     with pytest.raises(ValueError):
         LinearModel(np.ones(3), y, 0.5)
+
+
+@pytest.mark.parametrize("field", ["A", "y", "x_true"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_model_rejects_non_finite(field, bad):
+    fields = {"A": np.ones((3, 2)), "y": np.ones(3), "x_true": np.ones(2)}
+    fields[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{field} has non-finite"):
+        LinearModel(fields["A"], fields["y"], 0.5, x_true=fields["x_true"])
+
+
+def test_nan_in_y_is_rejected_before_run():
+    # a NaN used to come back from run() as status "diverged"
+    y = np.array([1.0, np.nan, 2.0])
+    with pytest.raises(ValueError, match="^y has non-finite"):
+        run("utamp", LinearModel(np.eye(3), y, 0.1), GaussianPrior())
+    with pytest.raises(ValueError, match="^y has non-finite"):
+        LinearModel(circulant_factorize([2.0, 1.0, 0.0]), y, 0.1)
+
+
+def test_matrix_free_model_densifies_on_demand():
+    rng = np.random.default_rng(2)
+    c = rng.standard_normal(6)
+    dense = c[(np.arange(6)[:, None] - np.arange(6)[None, :]) % 6]
+    fact = circulant_factorize(c)
+    model = LinearModel(fact, rng.standard_normal(6), 0.3)
+    assert model.fact is fact and (model.M, model.N) == (6, 6)
+    assert "A" not in vars(model), "a matrix-free model must not hold A until it is read"
+    assert model.A.dtype == np.float64, "real taps densify to a real matrix"
+    assert np.max(np.abs(model.A - dense)) <= 1e-15
+    assert np.isclose(model.frob2, np.sum(dense**2))
+
+    cplx = c + 1j * rng.standard_normal(6)
+    model_c = LinearModel(circulant_factorize(cplx), np.ones(6), 0.3)
+    assert np.allclose(model_c.A, cplx[(np.arange(6)[:, None] - np.arange(6)[None, :]) % 6], atol=1e-15)
+
+    A = rng.standard_normal((7, 4))
+    model_s = LinearModel(svd_factorize(A), rng.standard_normal(7), 0.3, x_true=np.zeros(4))
+    assert (model_s.M, model_s.N) == (7, 4)
+    assert np.allclose(model_s.A, A, atol=1e-13)
+    assert LinearModel(A, np.ones(7), 0.3).fact is None
 
 
 def test_linear_model_cached_quantities():
@@ -114,6 +157,9 @@ def test_circulant_factorize_rejects_bad_input():
         circulant_factorize(np.ones((2, 2)))
     with pytest.raises(FactorizationError):
         circulant_factorize(np.array([]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^first column has non-finite"):
+            circulant_factorize([1.0, bad, 0.0])
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])

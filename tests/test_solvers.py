@@ -9,11 +9,14 @@ from utamp import (
     GaussianPrior,
     BernoulliGaussianPrior,
     LinearModel,
+    certify,
+    circulant_taps,
     TransformedModel,
     circulant_factorize,
     generate_matrix,
     initial_state,
     lmmse_solve,
+    lmmse_transformed,
     run,
     scalar_amp_step,
     svd_factorize,
@@ -236,6 +239,77 @@ def test_utamp_matches_full_svd_oracle(case):
     assert np.max(np.abs(state.x - want[-1])) <= 1e-12
     direct = [np.linalg.norm(model.y - model.A @ x) for x in want]
     assert np.allclose(trace.column("residual"), direct, rtol=1e-12, atol=0.0)
+
+
+def test_matrix_free_circulant_matches_dense_model():
+    # the model holding only the DFT factorization against a dense model of
+    # the same draw solved with an explicit FFT factorization
+    spec = EnsembleSpec(kind="circulant", M=48, N=48, seed=11)
+    prior = GaussianPrior(x0=0.3, tau0=2.0)
+    free = synthesize_instance(circulant_factorize(circulant_taps(spec)), prior, sigma2=0.02, seed=4)
+    A = generate_matrix(spec)
+    dense = synthesize_instance(A, prior, sigma2=0.02, seed=4)
+    fact = circulant_factorize(A[:, 0])
+
+    got, got_status = _ut_iterates(unitary_transform(free, free.fact), free, prior, 500, 1e-12)
+    want, want_status = _ut_iterates(unitary_transform(dense, fact), dense, prior, 500, 1e-12)
+    assert got_status == want_status == "converged" and len(got) == len(want)
+    worst = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+    assert worst <= 1e-12, f"iterates differ by {worst:.2e}"
+
+    s_free, t_free = run("utamp", free, prior, max_iters=500, x_tol=1e-12)
+    s_dense, t_dense = run("utamp", dense, prior, fact=fact, max_iters=500, x_tol=1e-12)
+    assert t_free.status == t_dense.status == "converged" and s_free.t == s_dense.t == len(got) - 1
+    assert np.max(np.abs(s_free.x - s_dense.x)) <= 1e-12
+    assert np.allclose(t_free.column("residual"), t_dense.column("residual"), rtol=1e-12, atol=1e-14)
+    assert "A" not in vars(free), "the utamp route must not densify a matrix-free model"
+
+
+def test_run_and_certify_reuse_the_model_factorization(monkeypatch):
+    spec = EnsembleSpec(kind="circulant", M=32, N=32, seed=2)
+    prior = GaussianPrior()
+    model = synthesize_instance(circulant_factorize(circulant_taps(spec)), prior, sigma2=0.05, seed=2)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a model holding a factorization must not be factorized again")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    state, trace = run("utamp", model, prior)
+    cert = certify(model, prior)
+    monkeypatch.undo()
+    assert trace.status == "converged" and cert.converges
+    assert "A" not in vars(model)
+    want = certify(generate_matrix(spec), prior, sigma2=0.05)
+    assert abs(cert.spectral_radius - want.spectral_radius) <= 1e-12
+
+
+def _lmmse_case(name):
+    if name == "circulant":
+        fact = circulant_factorize(circulant_taps(EnsembleSpec(kind="circulant", M=40, N=40, seed=6)))
+        prior = GaussianPrior(x0=1.5, tau0=0.5)
+        return synthesize_instance(fact, prior, sigma2=0.01, seed=5), prior
+    model, prior = _oracle_case(name)
+    prior = GaussianPrior(x0=1.5, tau0=0.5, complex_valued=prior.complex_valued)
+    return synthesize_instance(model.A, prior, sigma2=0.01, seed=5), prior
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "square", "rank_deficient", "ill_conditioned", "complex", "circulant"])
+def test_transform_coordinate_oracle_matches_dense_lmmse(case):
+    model, prior = _lmmse_case(case)
+    fact = model.fact if model.fact is not None else svd_factorize(model.A)
+    got = lmmse_transformed(unitary_transform(model, fact), prior)
+    want = lmmse_solve(model, prior)
+    gap = float(np.max(np.abs(got - want)))
+    assert gap <= 1e-10, f"{case}: transform-coordinate oracle differs by {gap:.2e}"
+
+
+def test_transform_coordinate_oracle_needs_scalar_gaussian_prior():
+    model, _ = _oracle_case("tall")
+    tm = unitary_transform(model, svd_factorize(model.A))
+    with pytest.raises(ValueError):
+        lmmse_transformed(tm, GaussianPrior(tau0=np.linspace(0.5, 2.0, model.N)))
+    with pytest.raises(TypeError):
+        lmmse_transformed(tm, BernoulliGaussianPrior(rho=0.5))
 
 
 # ---------------------------------------------------------------- run loop
