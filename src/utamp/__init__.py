@@ -11,7 +11,6 @@ from .denoisers import (
     DenoiserOutput,
     GaussianPrior,
     bg_denoise,
-    denoiser_variance_modes,
     gaussian_denoise,
 )
 from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_matrix, stream, synthesize_instance
@@ -77,7 +76,6 @@ __all__ = [
     "circulant_factorize",
     "circulant_taps",
     "closed_form_eigenvalues",
-    "denoiser_variance_modes",
     "eigenvalue_discrepancy",
     "gaussian_denoise",
     "generate_matrix",

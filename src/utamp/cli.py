@@ -9,9 +9,13 @@ Subcommands:
 
 Problems come either from a matrix file (--matrix, optionally --observations
 for a measured y) or from an ensemble description given as positional tokens,
-e.g. ``ill_conditioned 80 60 kappa=1e4 seed=3``.  Exit codes: 0 on success,
-1 on invalid input or usage, 2 when no requested solver converged (solve,
-compare) or the certificate is not contractive (certify).
+e.g. ``ill_conditioned 80 60 kappa=1e4 seed=3``.  The transform is the DFT
+for circulant input (a circulant ensemble, or a square matrix file found to
+be circulant, unless --factorization svd) and the SVD otherwise; certify
+uses it too, so a circulant ensemble is never densified.  Exit codes: 0 on
+success, 1 on invalid input or usage, 2 when no requested solver reached
+status converged (solve, compare; max_iters counts as not converged) or the
+certificate is not contractive (certify).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoisers import BernoulliGaussianPrior, GaussianPrior
-from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_matrix, circulant_taps, generate_matrix, synthesize_instance
+from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_matrix, synthesize_instance
 from .matrixio import load_matrix, load_vector, save_matrix
 from .model import FactorizationError, LinearModel, circulant_factorize, svd_factorize, unitary_transform
 from .solvers import lmmse_transformed, run
@@ -134,57 +138,56 @@ def parse_ensemble(tokens: list[str]) -> EnsembleSpec:
 
 
 def _is_circulant(A: np.ndarray) -> bool:
-    if A.shape[0] != A.shape[1]:
-        return False
-    return bool(np.allclose(A, circulant_matrix(A[:, 0]), rtol=1e-10, atol=1e-12))
+    # square A; row i of a circulant is its first row rolled right by i.
+    # Row by row, so a non-circulant A is usually rejected at row 1 without
+    # an N x N temporary.
+    return all(np.allclose(A[i], np.roll(A[0], i), rtol=1e-10, atol=1e-12) for i in range(1, A.shape[0]))
 
 
-def _resolve_problem(args, prior):
-    """Build (model, fact, kind_label) from either --matrix or ensemble tokens.
+def _load_operator(args):
+    """Return (A, label): A is the dense matrix of --matrix or of an ensemble.
 
-    A circulant ensemble solved by FFT is circulant by construction: its
-    model holds the DFT factorization and no N x N array is formed.
+    A circulant ensemble is circulant by construction, so unless
+    --factorization svd asks for a dense SVD, A is its DFT factorization and
+    no N x N array is formed.
     """
-    choice = getattr(args, "factorization", "auto")
-    circulant_known = False
     if args.matrix is not None:
         if args.ensemble:
             raise CliError("give either --matrix or an ensemble description, not both")
-        A = load_matrix(args.matrix)
-        label = f"file:{args.matrix}"
-        circulant_known = bool(getattr(args, "circulant", False))
-    else:
-        if not args.ensemble:
-            raise CliError("need a problem: either --matrix FILE or an ensemble description (KIND M N ...)")
-        spec = parse_ensemble(args.ensemble)
-        label = spec.kind
-        if spec.kind == "circulant" and choice != "svd":
-            A = circulant_factorize(circulant_taps(spec))
-        else:
-            A = generate_matrix(spec)
+        return load_matrix(args.matrix), f"file:{args.matrix}"
+    if not args.ensemble:
+        raise CliError("need a problem: either --matrix FILE or an ensemble description (KIND M N ...)")
+    spec = parse_ensemble(args.ensemble)
+    if spec.kind == "circulant" and getattr(args, "factorization", "auto") != "svd":
+        return circulant_factorize(circulant_taps(spec)), spec.kind
+    return generate_matrix(spec), spec.kind
 
+
+def _factorize(A, choice):
+    """The unitary transform of A: the DFT when a square dense A is circulant
+    (checked once, under auto and dft), the SVD otherwise."""
+    if not isinstance(A, np.ndarray):
+        return A
+    if choice != "svd" and A.shape[0] == A.shape[1] and _is_circulant(A):
+        return circulant_factorize(A[:, 0])
+    if choice == "dft":
+        raise CliError("--factorization dft needs a circulant matrix (first column must generate it)")
+    return svd_factorize(A)
+
+
+def _resolve_problem(args, prior):
+    """Build (model, fact, label): the problem, its transform and its name."""
+    A, label = _load_operator(args)
     if isinstance(A, np.ndarray) and np.iscomplexobj(A):
         prior.complex_valued = True
-
-    if getattr(args, "observations", None):
+    if args.observations:
         y = load_vector(args.observations)
         if y.shape[0] != A.shape[0]:
             raise CliError(f"observations have length {y.shape[0]}, matrix has {A.shape[0]} rows")
         model = LinearModel(A=A, y=y, sigma2=args.sigma2, x_true=None)
     else:
         model = synthesize_instance(A, prior, sigma2=args.sigma2, seed=args.seed)
-
-    if model.fact is not None:
-        fact = model.fact
-    elif choice == "svd" or (choice == "auto" and not circulant_known):
-        fact = svd_factorize(A)
-    elif _is_circulant(A):
-        fact = circulant_factorize(A[:, 0])
-    elif choice == "dft":
-        raise CliError("--factorization dft needs a circulant matrix (first column must generate it)")
-    else:
-        fact = svd_factorize(A)
-    return model, fact, label
+    return model, _factorize(A, args.factorization), label
 
 
 def _parse_algorithms(text: str) -> list[str]:
@@ -270,37 +273,46 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
+def _solve(args, names, compare):
+    """The shared body of solve and compare; exit 2 unless some solver converged."""
     prior = parse_prior(args.prior)
     model, fact, label = _resolve_problem(args, prior)
     out_dir = None
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    names = _parse_algorithms(args.algorithms)
     print(f"problem: {label}, {model.M} x {model.N}, sigma2 = {model.sigma2:.6g}")
     rows = _run_algorithms(model, fact, prior, names, args, out_dir)
     _print_rows(rows)
-    if out_dir is not None:
+    if compare and isinstance(prior, GaussianPrior) and "utamp" in names:
+        cert = certify(fact, prior, sigma2=model.sigma2)
+        verdict = "contractive" if cert.converges else "NOT contractive"
+        if not cert.fixed_point.converged:
+            verdict += ": stepsize fixed point did not converge"
+        print(f"certificate: spectral radius {cert.spectral_radius:.6g} ({verdict})")
+    if out_dir is not None and compare:
+        path = out_dir / "compare.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            w.writeheader()
+            for r in rows:
+                w.writerow({k: ("" if v is None else v) for k, v in r.items()})
+        print(f"summary written to {path}")
+    elif out_dir is not None:
         print(f"traces written to {out_dir}")
-    if all(r["status"] == "diverged" for r in rows):
-        return 2
-    return 0
+    return 0 if any(r["status"] == "converged" for r in rows) else 2
+
+
+def cmd_solve(args) -> int:
+    return _solve(args, _parse_algorithms(args.algorithms), compare=False)
 
 
 def cmd_certify(args) -> int:
     prior = parse_prior(args.prior)
     if not isinstance(prior, GaussianPrior):
         raise CliError("certification needs a Gaussian prior (--prior gauss[:mean=..,var=..])")
-    if args.matrix is not None:
-        if args.ensemble:
-            raise CliError("give either --matrix or an ensemble description, not both")
-        A = load_matrix(args.matrix)
-    else:
-        if not args.ensemble:
-            raise CliError("need a matrix: either --matrix FILE or an ensemble description")
-        A = generate_matrix(parse_ensemble(args.ensemble))
-    cert = certify(A, prior, sigma2=args.sigma2, check_numeric=args.check_numeric)
+    A, _ = _load_operator(args)
+    cert = certify(_factorize(A, "auto"), prior, sigma2=args.sigma2, check_numeric=args.check_numeric)
     report = cert.report()
     print(report)
     if args.out:
@@ -312,32 +324,7 @@ def cmd_compare(args) -> int:
     names = _parse_algorithms(args.algorithms)
     if len(names) < 2:
         raise CliError("compare needs at least two algorithms")
-    prior = parse_prior(args.prior)
-    model, fact, label = _resolve_problem(args, prior)
-    out_dir = None
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    print(f"problem: {label}, {model.M} x {model.N}, sigma2 = {model.sigma2:.6g}")
-    rows = _run_algorithms(model, fact, prior, names, args, out_dir)
-    _print_rows(rows)
-    if isinstance(prior, GaussianPrior) and "utamp" in names:
-        cert = certify(fact, prior, sigma2=model.sigma2)
-        print(
-            f"certificate: spectral radius {cert.spectral_radius:.6g} "
-            f"({'contractive' if cert.converges else 'NOT contractive'})"
-        )
-    if out_dir is not None:
-        path = out_dir / "compare.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            w.writeheader()
-            for r in rows:
-                w.writerow({k: ("" if v is None else v) for k, v in r.items()})
-        print(f"summary written to {path}")
-    if all(r["status"] == "diverged" for r in rows):
-        return 2
-    return 0
+    return _solve(args, names, compare=True)
 
 
 def _add_problem_arguments(p, with_solver_options):
@@ -351,9 +338,7 @@ def _add_problem_arguments(p, with_solver_options):
         p.add_argument("--observations", help="read y from this vector file (skips synthesis)")
         p.add_argument("--seed", type=int, default=0, help="seed for signal and noise synthesis")
         p.add_argument("--factorization", choices=("auto", "svd", "dft"), default="auto",
-                       help="transform used by utamp (auto picks dft for circulant inputs)")
-        p.add_argument("--circulant", action="store_true",
-                       help="treat the --matrix file as circulant (enables the FFT path)")
+                       help="transform used by utamp (auto picks dft when the input is circulant)")
         p.add_argument("--max-iters", type=int, default=1000)
         p.add_argument("--x-tol", type=float, default=1e-10)
         p.add_argument("--out", help="directory for iteration trace CSV files")

@@ -23,7 +23,6 @@ __all__ = [
     "DenoiserOutput",
     "gaussian_denoise",
     "bg_denoise",
-    "denoiser_variance_modes",
 ]
 
 
@@ -38,16 +37,6 @@ class DenoiserOutput:
     def var_scalar(self) -> float:
         """Variances averaged over elements (scalar-stepsize view)."""
         return float(np.mean(self.var))
-
-
-def denoiser_variance_modes(output: DenoiserOutput, mode: str):
-    """Select the variance statistic: "vector" keeps per-element values,
-    "scalar" collapses to their mean."""
-    if mode == "vector":
-        return output.var
-    if mode == "scalar":
-        return output.var_scalar
-    raise ValueError(f"unknown variance mode {mode!r}, expected 'vector' or 'scalar'")
 
 
 def _check_tau_q(tau_q, n):

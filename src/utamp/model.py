@@ -244,8 +244,8 @@ def factor_matvec(fact: Factorization, x: np.ndarray) -> np.ndarray:
 class TransformedModel:
     """The problem after left-multiplying by U^H: r = Lam V x + w.
 
-    lam_p and lam_s are the row and column sums of |Lam|^2, i.e. the squared
-    singular values padded with zeros to lengths M and N.  The transformed
+    lam_p holds the row sums of |Lam|^2, i.e. the squared singular values
+    padded with zeros to length M.  The transformed
     noise w has the same covariance sigma2 I as the original noise.
     """
 
@@ -253,7 +253,6 @@ class TransformedModel:
     r: np.ndarray
     sigma2: float
     lam_p: np.ndarray
-    lam_s: np.ndarray
 
     @property
     def M(self) -> int:
@@ -277,14 +276,8 @@ def unitary_transform(model: LinearModel, fact: Factorization) -> TransformedMod
     r = np.pad(fact.apply_uh(model.y), (0, fact.M - k))
     if fact.M > k:
         r[k] = np.linalg.norm(model.y - fact.U @ r[:k])
-    lam2 = np.abs(fact.lam) ** 2
-    return TransformedModel(
-        fact=fact,
-        r=r,
-        sigma2=model.sigma2,
-        lam_p=np.pad(lam2, (0, fact.M - k)),
-        lam_s=np.pad(lam2, (0, fact.N - k)),
-    )
+    lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.M - k))
+    return TransformedModel(fact=fact, r=r, sigma2=model.sigma2, lam_p=lam_p)
 
 
 def scaled_gram_diagonal(C, d) -> np.ndarray:

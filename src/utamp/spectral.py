@@ -14,7 +14,8 @@ eta^2 - alpha * eta + alpha * beta_i; leftover measurement directions
 contribute zeros and leftover estimate directions contribute alpha.  The
 certificate reports the spectral radius and whether it is below one, which
 holds for every matrix since alpha * beta_i < 1; the API still checks rather
-than asserts so the numeric cross-check stays meaningful.
+than asserts so the numeric cross-check stays meaningful.  A radius taken at
+a stepsize fixed point that did not converge certifies nothing.
 """
 
 from __future__ import annotations
@@ -93,14 +94,20 @@ class ConvergenceCertificate:
             f"  noise variance: {c.sigma2:.6g}",
             f"  stepsize fixed point: tau_x = {self.fixed_point.tau_x:.6g}, "
             f"tau_q = {self.fixed_point.tau_q:.6g} "
-            f"({self.fixed_point.iterations} iterations)",
+            f"({self.fixed_point.iterations} iterations"
+            f"{'' if self.fixed_point.converged else ', NOT converged'})",
             f"  alpha = {c.alpha:.6g}",
             f"  spectral radius = {self.spectral_radius:.6g} "
             f"({self.eigenvalues.size} closed-form eigenvalues)",
         ]
         if self.numeric_discrepancy is not None:
             lines.append(f"  numeric cross-check: max eigenvalue discrepancy {self.numeric_discrepancy:.3g}")
-        verdict = "converges (spectral radius < 1)" if self.converges else "NOT certified (spectral radius >= 1)"
+        if self.converges:
+            verdict = "converges (spectral radius < 1)"
+        elif not self.fixed_point.converged:
+            verdict = "NOT certified (stepsize fixed point did not converge)"
+        else:
+            verdict = "NOT certified (spectral radius >= 1)"
         lines.append(f"  verdict: {verdict}")
         return "\n".join(lines)
 
@@ -275,7 +282,7 @@ def certify(
         coefficients=coeff,
         eigenvalues=eigs,
         spectral_radius=radius,
-        converges=bool(radius < 1.0),
+        converges=bool(radius < 1.0 and fp.converged),
         case=_case(*fact.shape),
     )
     if check_numeric:

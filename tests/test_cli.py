@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from utamp import certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
+from utamp import Factorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
 from utamp import cli
 from utamp.cli import main, parse_ensemble, parse_prior, CliError
 from utamp.denoisers import BernoulliGaussianPrior, GaussianPrior
@@ -160,10 +160,36 @@ def test_circulant_matrix_file_is_checked_once(tmp_path, capsys, monkeypatch, ch
 
     monkeypatch.setattr(cli, "_is_circulant", counting_check)
     monkeypatch.setattr(cli, "circulant_factorize", counting_factorize)
-    code = main(["solve", "--matrix", str(tmp_path / "A.txt"), "--circulant", "--factorization", choice])
+    code = main(["solve", "--matrix", str(tmp_path / "A.txt"), "--factorization", choice])
     assert code == 0
     assert calls == [(16, 16)], f"_is_circulant ran {len(calls)} times"
     assert len(factorized) == 1, "a circulant file must take the FFT route"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "certify"])
+def test_circulant_matrix_file_takes_fft_route_by_default(tmp_path, capsys, monkeypatch, command):
+    A = generate_matrix(EnsembleSpec(kind="circulant", M=16, N=16, seed=4))
+    save_matrix(tmp_path / "A.txt", A)
+    calls = []
+    real_check = cli._is_circulant
+    monkeypatch.setattr(cli, "_is_circulant", lambda M: calls.append(M.shape) or real_check(M))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a circulant file must not be factorized by SVD")
+
+    monkeypatch.setattr(cli, "svd_factorize", no_svd)
+    assert main([command, "--matrix", str(tmp_path / "A.txt")]) == 0
+    assert calls == [(16, 16)], f"_is_circulant ran {len(calls)} times"
+    capsys.readouterr()
+
+
+def test_square_non_circulant_file_keeps_the_svd_route(tmp_path, capsys, monkeypatch):
+    save_matrix(tmp_path / "A.txt", generate_matrix(EnsembleSpec(kind="iid_gaussian", M=12, N=12, seed=6)))
+    dft = []
+    monkeypatch.setattr(cli, "circulant_factorize", lambda c: dft.append(c))
+    assert main(["solve", "--matrix", str(tmp_path / "A.txt")]) == 0
+    assert dft == []
     capsys.readouterr()
 
 
@@ -218,6 +244,39 @@ def test_certify_prints_report(tmp_path, capsys):
     assert "spectral radius" in text and "verdict: converges" in text
     assert "discrepancy" in text
     assert out.read_text().strip() in text
+
+
+def test_certify_circulant_never_forms_an_n_by_n_array(capsys):
+    n = 4096
+    tracemalloc.start()
+    try:
+        code = main(["certify", "circulant", str(n), str(n), "seed=1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "verdict: converges" in capsys.readouterr().out
+    # one N x N float64 array is n * n * 8 bytes
+    assert peak < n * n * 8 / 8, f"peak allocation {peak / 2**20:.1f} MiB"
+
+
+def test_certify_circulant_matches_dense_certificate(capsys, monkeypatch):
+    spec = EnsembleSpec(kind="circulant", M=64, N=64, seed=3)
+    targets, certs = [], []
+    real_certify = cli.certify
+
+    def spy_certify(target, *args, **kwargs):
+        targets.append(target)
+        certs.append(real_certify(target, *args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(cli, "certify", spy_certify)
+    assert main(["certify", "circulant", "64", "64", "seed=3", "--sigma2", "0.05"]) == 0
+    assert len(certs) == 1
+    assert isinstance(targets[0], Factorization) and targets[0].kind == "dft", "certify must take the FFT route"
+    want = certify(generate_matrix(spec), GaussianPrior(), sigma2=0.05)
+    assert abs(certs[0].spectral_radius - want.spectral_radius) <= 1e-12
+    assert f"spectral radius = {want.spectral_radius:.6g}" in capsys.readouterr().out
 
 
 def test_certify_matrix_file(tmp_path, capsys):
@@ -311,7 +370,7 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"sigma2": 0.5, "max_iters": 5}))
     code = main(["solve", "iid_gaussian", "10", "8", "--config", str(conf), "--algorithms", "utamp"])
-    assert code == 0
+    assert code == 2  # no solver converged within 5 iterations
     out = capsys.readouterr().out
     assert "sigma2 = 0.5" in out
     assert "max_iters" in out  # capped run reports max_iters status

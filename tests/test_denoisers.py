@@ -6,7 +6,6 @@ from utamp import (
     BernoulliGaussianPrior,
     GaussianPrior,
     bg_denoise,
-    denoiser_variance_modes,
     gaussian_denoise,
 )
 
@@ -216,16 +215,6 @@ def test_bg_prior_validation():
 
 
 # ---------------------------------------------------------------- shared
-
-
-def test_variance_modes():
-    out = gaussian_denoise(np.array([1.0, 2.0]), 1.0, GaussianPrior(tau0=np.array([1.0, 3.0])))
-    vec = denoiser_variance_modes(out, "vector")
-    assert vec.shape == (2,)
-    assert np.isclose(denoiser_variance_modes(out, "scalar"), np.mean(vec))
-    assert np.isclose(out.var_scalar, np.mean(vec))
-    with pytest.raises(ValueError):
-        denoiser_variance_modes(out, "matrix")
 
 
 def test_prior_sampling_moments():

@@ -171,10 +171,8 @@ def test_unitary_transform_padding(shape):
     t = unitary_transform(model, f)
     k = min(shape)
     assert t.lam_p.shape == (shape[0],)
-    assert t.lam_s.shape == (shape[1],)
     assert np.allclose(t.lam_p[:k], f.lam**2)
     assert np.allclose(t.lam_p[k:], 0.0)
-    assert np.allclose(t.lam_s[k:], 0.0)
     # r is U^H y for U completed by the normalized out-of-range part of y
     assert t.r.shape == (shape[0],)
     assert np.allclose(t.r[:k], f.U.conj().T @ model.y)
@@ -183,11 +181,10 @@ def test_unitary_transform_padding(shape):
     for _ in range(3):
         x = rng.standard_normal(shape[1])
         assert np.isclose(np.linalg.norm(t.r - f.apply_av(x)), np.linalg.norm(model.y - A @ x))
-    # row/column sums of |Lam|^2 in matrix form
+    # row sums of |Lam|^2 in matrix form
     lam_full = np.zeros(shape)
     lam_full[:k, :k] = np.diag(f.lam)
     assert np.allclose(t.lam_p, np.sum(lam_full**2, axis=1))
-    assert np.allclose(t.lam_s, np.sum(lam_full**2, axis=0))
 
 
 def test_unitary_transform_shape_mismatch():

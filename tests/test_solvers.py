@@ -223,7 +223,6 @@ def test_utamp_matches_full_svd_oracle(case):
         r=full.U.conj().T @ model.y,
         sigma2=model.sigma2,
         lam_p=np.sum(full.lam_full**2, axis=1),
-        lam_s=np.sum(full.lam_full**2, axis=0),
     )
     want, want_status = _ut_iterates(oracle, model, prior, max_iters=500, x_tol=1e-12)
     thin = unitary_transform(model, svd_factorize(model.A))

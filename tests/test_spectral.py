@@ -244,6 +244,17 @@ def test_certify_numeric_check_and_report():
     assert certify(A, GaussianPrior(), sigma2=0.02).numeric_discrepancy is None
 
 
+def test_certify_unconverged_fixed_point_is_not_a_verdict():
+    # square high-SNR spectrum: the stepsize recursion converges sublinearly
+    # and stops at its iteration cap short of the fixed point
+    cert = certify(1e6 * np.eye(5), GaussianPrior(), sigma2=1e-8)
+    assert not cert.fixed_point.converged
+    assert not cert.converges
+    text = cert.report()
+    assert "NOT converged" in text
+    assert "verdict: NOT certified (stepsize fixed point did not converge)" in text
+
+
 def test_certified_radius_is_at_most_sqrt_alpha():
     # |roots| <= sqrt(alpha * beta_i) <= sqrt(alpha) since beta < 1, and the
     # padding eigenvalues are 0 and alpha <= sqrt(alpha)
