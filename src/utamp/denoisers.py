@@ -6,13 +6,17 @@ posterior mean and posterior variance of x under the prior.  The posterior
 variance equals tau_q times the derivative of the posterior mean in q, so a
 single output serves both the stepsize update and the error estimate.
 
+A scalar tau_q (and a scalar prior parameter) stays scalar: it broadcasts
+against q instead of being copied to length n, so a denoiser call costs a
+few elementwise passes over q.  The output mean and var are always length n.
+
 tau_q = +inf is the "no observation" limit and returns the prior mean and
 variance; mixed finite/infinite vectors are handled per element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,14 +44,25 @@ class DenoiserOutput:
 
 
 def _check_tau_q(tau_q, n):
+    # a scalar stays 0-d; NaN fails the comparison, so one test rejects it too
     tau_q = np.asarray(tau_q, dtype=float)
-    if tau_q.ndim == 0:
-        tau_q = np.full(n, float(tau_q))
-    if tau_q.shape != (n,):
+    if tau_q.ndim != 0 and tau_q.shape != (n,):
         raise ValueError(f"tau_q must be scalar or length-{n}, got shape {tau_q.shape}")
-    if np.any(np.isnan(tau_q)) or np.any(tau_q <= 0):
+    if not np.all(tau_q > 0):
         raise ValueError("tau_q entries must be positive (inf allowed)")
     return tau_q
+
+
+def _conjugate(q, tau_q, x0, tau0):
+    """Posterior of x ~ N(x0, tau0) given q = x + N(0, tau_q): the mean and
+    the shrink factor (posterior over prior variance), each broadcast from
+    the inputs, so scalar tau_q and tau0 give a scalar shrink.  tau_q = inf
+    gives back the prior (shrink 1) per element."""
+    finite = np.isfinite(tau_q)
+    tq = np.where(finite, tau_q, 1.0)
+    gain = np.where(finite, tau0 / (tau0 + tq), 0.0)
+    shrink = np.where(finite, tq / (tau0 + tq), 1.0)
+    return gain * q + shrink * x0, shrink
 
 
 @dataclass(eq=False)
@@ -98,16 +113,9 @@ def gaussian_denoise(q, tau_q, prior: GaussianPrior) -> DenoiserOutput:
     tau0 tau_q / (tau0 + tau_q)."""
     q = np.asarray(q)
     n = q.shape[0]
-    tau_q = _check_tau_q(tau_q, n)
-    x0 = prior.mean_vector(n)
-    tau0 = prior.variance_vector(n)
-
-    finite = np.isfinite(tau_q)
-    tq = np.where(finite, tau_q, 1.0)
-    gain = np.where(finite, tau0 / (tau0 + tq), 0.0)
-    mean = x0 + gain * (q - x0)
-    var = np.where(finite, tau0 * tq / (tau0 + tq), tau0)
-    return DenoiserOutput(mean=mean, var=var)
+    mean, shrink = _conjugate(q, _check_tau_q(tau_q, n), prior.x0, prior.tau0)
+    var = prior.tau0 * shrink
+    return DenoiserOutput(mean=mean, var=var if np.ndim(var) else np.full(n, var))
 
 
 @dataclass(eq=False)
@@ -152,58 +160,40 @@ class BernoulliGaussianPrior:
         return bg_denoise(q, tau_q, self)
 
 
-def _log_gauss_mag2(mag2, variance, complex_valued):
-    # log density evaluated through the squared distance to the mean;
-    # the real and circular-complex normalizers differ
-    if complex_valued:
-        return -np.log(np.pi * variance) - mag2 / variance
-    return -0.5 * np.log(2.0 * np.pi * variance) - 0.5 * mag2 / variance
-
-
-def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def bg_denoise(q, tau_q, prior: BernoulliGaussianPrior) -> DenoiserOutput:
     """Spike-and-slab posterior.
 
-    The activation probability comes from the log odds of the two marginal
-    likelihoods q ~ N(mu, v + tau_q) versus q ~ N(0, tau_q), evaluated in the
-    log domain so extreme odds saturate to exactly 0 or 1 instead of
-    overflowing.  Conditional on activity the update is the conjugate
-    Gaussian one.
+    Conditional on activity the update is the conjugate Gaussian one,
+    N(m, v s) with shrink s = tau_q / (v + tau_q).  The activation
+    probability is the sigmoid of the log odds of the two marginal
+    likelihoods q ~ N(mu, v + tau_q) versus q ~ N(0, tau_q).  Completing the
+    square writes them through the same |m|^2 the variance needs:
+
+        t = log(rho / (1 - rho)) + k (log s - |mu|^2 / v + |m|^2 / (v s)),
+
+    with k = 1/2 for real and 1 for circular complex q.  The normalizers
+    are scalars when tau_q is, and extreme odds saturate the activation to
+    exactly 0 or 1 instead of overflowing.
     """
     q = np.asarray(q)
     n = q.shape[0]
     tau_q = _check_tau_q(tau_q, n)
     rho, mu, v = prior.rho, prior.mu, prior.v
-    cplx = prior.complex_valued
-
-    finite = np.isfinite(tau_q)
-    tq = np.where(finite, tau_q, 1.0)
-
     if rho == 0.0:
-        zero = np.zeros(n, dtype=q.dtype)
-        return DenoiserOutput(mean=zero, var=np.zeros(n))
+        return DenoiserOutput(mean=np.zeros(n, dtype=q.dtype), var=np.zeros(n))
 
-    # conditional-on-active posterior
-    m_act = np.where(finite, (v * q + tq * mu) / (v + tq), mu + 0.0 * q)
-    v_act = np.where(finite, v * tq / (v + tq), v)
-
+    m_act, shrink = _conjugate(q, tau_q, mu, v)
+    v_act = v * shrink
+    m2 = np.abs(m_act) ** 2
     if rho == 1.0:
-        pi = np.ones(n)
+        pi = 1.0
     else:
-        log_slab = _log_gauss_mag2(np.abs(q - mu) ** 2, v + tq, cplx)
-        log_spike = _log_gauss_mag2(np.abs(q) ** 2, tq, cplx)
-        t = np.log(rho) - np.log1p(-rho) + log_slab - log_spike
-        t = np.where(finite, t, np.log(rho) - np.log1p(-rho))
-        pi = _sigmoid(t)
+        k = 1.0 if prior.complex_valued else 0.5
+        neg_t = np.log1p(-rho) - np.log(rho) - k * (np.log(shrink) - abs(mu) ** 2 / v) - (k / v_act) * m2
+        with np.errstate(over="ignore"):
+            # exp(-t) = inf below t = -709 gives pi = 0, the exact limit
+            pi = 1.0 / (1.0 + np.exp(neg_t))
 
     mean = pi * m_act
-    var = pi * v_act + pi * (1.0 - pi) * np.abs(m_act) ** 2
+    var = pi * (v_act + (1.0 - pi) * m2)
     return DenoiserOutput(mean=mean, var=var)

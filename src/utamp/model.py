@@ -140,8 +140,12 @@ class Factorization:
     @cached_property
     def _dft(self) -> np.ndarray:
         # normalized forward DFT matrix, built only on demand
-        n = self.N
-        return np.fft.fft(np.eye(n), axis=0) / np.sqrt(n)
+        return np.fft.fft(np.eye(self.N), axis=0, norm="ortho")
+
+    @cached_property
+    def _lam_conj(self) -> np.ndarray:
+        # Lam^H, read by every adjoint apply
+        return np.conj(self.lam)
 
     @property
     def U(self) -> np.ndarray:
@@ -159,7 +163,7 @@ class Factorization:
         """Return Lam V x (length M) without forming A."""
         k = min(self.shape)
         if self.kind == "dft":
-            return self.lam * (np.fft.fft(x) / np.sqrt(self.N))
+            return self.lam * np.fft.fft(x, norm="ortho")
         z = self._V @ x
         out = np.zeros(self.M, dtype=np.result_type(self.lam, z))
         out[:k] = self.lam * z
@@ -169,13 +173,13 @@ class Factorization:
         """Return V^H Lam^H s (length N), the adjoint of apply_av."""
         k = min(self.shape)
         if self.kind == "dft":
-            return np.fft.ifft(np.conj(self.lam) * s) * np.sqrt(self.N)
-        return self._V.conj().T @ (np.conj(self.lam) * s[:k])
+            return np.fft.ifft(self._lam_conj * s, norm="ortho")
+        return self._V.conj().T @ (self._lam_conj * s[:k])
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:
         """Return U_k^H y, the first k entries of U^H y (all M for "dft")."""
         if self.kind == "dft":
-            return np.fft.fft(y) / np.sqrt(self.N)
+            return np.fft.fft(y, norm="ortho")
         return self._U.conj().T @ y
 
     def reconstruct(self) -> np.ndarray:

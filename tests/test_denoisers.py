@@ -1,5 +1,10 @@
+import tracemalloc
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from utamp import (
@@ -238,3 +243,186 @@ def test_complex_prior_sampling():
     assert abs(np.mean(np.abs(g - np.mean(g)) ** 2) - 2.0) < 0.02
     # real and imaginary parts carry half the variance each
     assert abs(np.var(g.real) - 1.0) < 0.02
+
+
+# ---------------------------------------------------------------- properties
+#
+# The oracles below are the direct per-element posterior formulas
+# (spike-and-slab log odds as the difference of the two log marginal
+# likelihoods), evaluated in 60-digit decimal arithmetic.  In float64 those
+# formulas cancel catastrophically for large |q| and tau_q (|q|^2 / tau_q
+# against |q - mu|^2 / (v + tau_q)), so only an exact evaluation can check
+# the fused library code to 1e-12.
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+RTOL = 1e-12
+ATOL = 1e-290  # below this the exact posterior mean is subnormal
+
+
+def _decimal_parts(z):
+    z = complex(z)
+    return Decimal(z.real), Decimal(z.imag)
+
+
+def _exact_elementwise(q, tau_q, posterior):
+    """Map posterior(qr, qi, tau_q or None) -> (mean_re, mean_im, var) over
+    the elements in 60-digit arithmetic; tau_q is None when infinite."""
+    tau_q = np.broadcast_to(np.asarray(tau_q, dtype=float), q.shape)
+    mean = np.zeros(q.shape, dtype=complex)
+    var = np.zeros(q.shape)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for i, (qq, tq) in enumerate(zip(q, tau_q)):
+            mr, mi, vv = posterior(*_decimal_parts(qq), None if np.isinf(tq) else Decimal(tq))
+            mean[i] = complex(float(mr), float(mi))
+            var[i] = float(vv)
+    return mean, var
+
+
+def gaussian_exact(q, tau_q, x0, tau0):
+    x0r, x0i = _decimal_parts(x0)
+    tau0 = Decimal(tau0)
+
+    def posterior(qr, qi, tq):
+        if tq is None:
+            return x0r, x0i, tau0
+        gain = tau0 / (tau0 + tq)
+        return x0r + gain * (qr - x0r), x0i + gain * (qi - x0i), tau0 * tq / (tau0 + tq)
+
+    return _exact_elementwise(q, tau_q, posterior)
+
+
+def bg_exact(q, tau_q, rho, mu, v, complex_valued):
+    rho, v = Decimal(rho), Decimal(v)
+    mur, mui = _decimal_parts(mu)
+
+    def log_gauss(mag2, variance):
+        if complex_valued:
+            return -(_PI * variance).ln() - mag2 / variance
+        return -(2 * _PI * variance).ln() / 2 - mag2 / (2 * variance)
+
+    def posterior(qr, qi, tq):
+        t = rho.ln() - (1 - rho).ln()
+        if tq is None:
+            mr, mi, v_act = mur, mui, v
+        else:
+            mr, mi = (v * qr + tq * mur) / (v + tq), (v * qi + tq * mui) / (v + tq)
+            v_act = v * tq / (v + tq)
+            t += log_gauss((qr - mur) ** 2 + (qi - mui) ** 2, v + tq) - log_gauss(qr**2 + qi**2, tq)
+        pi = 1 / (1 + (-t).exp()) if t >= 0 else t.exp() / (1 + t.exp())
+        return pi * mr, pi * mi, pi * v_act + pi * (1 - pi) * (mr**2 + mi**2)
+
+    return _exact_elementwise(q, tau_q, posterior)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+TAU_Q = st.one_of(_log_uniform(1e-12, 1e12), st.just(np.inf))
+COORD = st.floats(-1e8, 1e8)
+
+
+@st.composite
+def observations(draw):
+    """(q, tau_q): real or complex q with |q| up to about 1e8, and tau_q a
+    log-uniform scalar in [1e-12, 1e12], inf, or a mixed vector of those."""
+    n = draw(st.integers(1, 6))
+    cplx = draw(st.booleans())
+    re = draw(st.lists(COORD, min_size=n, max_size=n))
+    q = np.array(re)
+    if cplx:
+        q = q + 1j * np.array(draw(st.lists(COORD, min_size=n, max_size=n)))
+    tau_q = draw(st.one_of(TAU_Q, st.lists(TAU_Q, min_size=n, max_size=n).map(np.array)))
+    return q, tau_q
+
+
+def _slab_mean(complex_valued):
+    real = st.floats(-3.0, 3.0)
+    if complex_valued:
+        return st.one_of(st.just(0.0), st.builds(complex, real, real))
+    return st.one_of(st.just(0.0), real)
+
+
+@st.composite
+def bg_priors(draw, complex_valued):
+    return BernoulliGaussianPrior(
+        rho=draw(st.floats(1e-6, 1.0 - 1e-6)),
+        mu=draw(_slab_mean(complex_valued)),
+        v=draw(_log_uniform(0.1, 10.0)),
+        complex_valued=complex_valued,
+    )
+
+
+def _check_scalar_broadcast(denoise, q, tau_q, prior):
+    # a scalar tau_q is the same as its length-n copy
+    if np.ndim(tau_q) == 0:
+        full = denoise(q, np.full(q.shape, tau_q), prior)
+        out = denoise(q, tau_q, prior)
+        np.testing.assert_allclose(out.mean, full.mean, rtol=1e-15, atol=ATOL)
+        np.testing.assert_allclose(out.var, full.var, rtol=1e-15, atol=ATOL)
+
+
+def _check_sane(out, n):
+    assert out.mean.shape == (n,) and out.var.shape == (n,)
+    assert np.all(np.isfinite(out.mean)) and np.all(np.isfinite(out.var))
+    assert np.all(out.var >= 0)
+
+
+@given(observations(), st.data())
+def test_bg_denoise_matches_exact_posterior(obs, data):
+    q, tau_q = obs
+    prior = data.draw(bg_priors(np.iscomplexobj(q)))
+    out = bg_denoise(q, tau_q, prior)
+    _check_sane(out, q.size)
+    mean, var = bg_exact(q, tau_q, prior.rho, prior.mu, prior.v, prior.complex_valued)
+    np.testing.assert_allclose(out.mean, mean if np.iscomplexobj(out.mean) else mean.real, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(out.var, var, rtol=RTOL, atol=ATOL)
+    _check_scalar_broadcast(bg_denoise, q, tau_q, prior)
+
+
+@given(observations(), st.data())
+def test_gaussian_denoise_matches_exact_posterior(obs, data):
+    q, tau_q = obs
+    x0 = data.draw(_slab_mean(np.iscomplexobj(q)))
+    prior = GaussianPrior(x0=x0, tau0=data.draw(_log_uniform(1e-2, 1e2)))
+    out = gaussian_denoise(q, tau_q, prior)
+    _check_sane(out, q.size)
+    mean, var = gaussian_exact(q, tau_q, x0, float(prior.tau0))
+    np.testing.assert_allclose(out.mean, mean if np.iscomplexobj(out.mean) else mean.real, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(out.var, var, rtol=RTOL, atol=ATOL)
+    _check_scalar_broadcast(gaussian_denoise, q, tau_q, prior)
+
+
+def test_check_tau_q_rejects_bad_stepsizes():
+    q = np.ones(3)
+    for bad in [np.nan, 0.0, -1.0, np.array([1.0, np.nan, 1.0]), np.array([1.0, 0.0, 1.0])]:
+        for denoise, prior in [(gaussian_denoise, GaussianPrior()), (bg_denoise, BernoulliGaussianPrior(rho=0.3))]:
+            with pytest.raises(ValueError):
+                denoise(q, bad, prior)
+    with pytest.raises(ValueError):
+        bg_denoise(q, np.ones((3, 1)), BernoulliGaussianPrior(rho=0.3))
+
+
+# ---------------------------------------------------------------- allocation
+
+
+@pytest.mark.parametrize(
+    "denoise,prior,limit",
+    [(bg_denoise, BernoulliGaussianPrior(rho=0.1), 6), (gaussian_denoise, GaussianPrior(), 4)],
+    ids=["bg", "gaussian"],
+)
+def test_scalar_stepsize_denoise_allocation(denoise, prior, limit):
+    # a scalar tau_q and scalar prior parameters are never copied to length
+    # n: the peak of one call on complex q stays below limit * 16n bytes
+    n = 2**18
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        out = denoise(q, 0.3, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.mean.shape == out.var.shape == (n,)
+    assert peak < limit * 16 * n, f"peak {peak / (16 * n):.2f} x 16n bytes"

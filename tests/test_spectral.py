@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import utamp.spectral as spectral
 from utamp import (
     BernoulliGaussianPrior,
     EnsembleSpec,
@@ -127,21 +130,95 @@ def test_closed_form_eigenvalue_count_and_padding(shape):
     assert alphas >= n - k
 
 
+ADVERSARIAL_SPECTRA = [
+    np.ones(5) * 1e6,
+    np.ones(5) * 1e-6,
+    np.logspace(0, -12, 8),
+    np.concatenate([np.ones(3), np.zeros(4)]),
+    np.array([1e8, 1.0, 1e-8]),
+]
+
+
 def test_spectral_radius_below_one_for_adversarial_spectra():
-    cases = [
-        np.ones(5) * 1e6,
-        np.ones(5) * 1e-6,
-        np.logspace(0, -12, 8),
-        np.concatenate([np.ones(3), np.zeros(4)]),
-        np.array([1e8, 1.0, 1e-8]),
-    ]
-    for lam in cases:
+    for lam in ADVERSARIAL_SPECTRA:
         for sigma2 in [1e-8, 1.0, 1e6]:
             n = lam.size
             fp = variance_fixed_point(lam, sigma2, GaussianPrior(), (n, n))
+            assert fp.converged, f"lam={lam}, sigma2={sigma2}"
             c = spectral_coefficients(fp, lam, sigma2, (n, n))
             rho = np.max(np.abs(closed_form_eigenvalues(c)))
             assert rho < 1.0, f"lam={lam}, sigma2={sigma2}: rho={rho}"
+
+
+def iterated_fixed_point(lam, sigma2, tau0, n, tol=1e-14, max_iters=1000):
+    """The stepsize recursion iterated from tau_x = tau0 until the relative
+    change drops to tol; returns (tau_x, converged)."""
+    lam2 = np.abs(lam) ** 2
+    tau_x = tau0
+    for _ in range(max_iters):
+        tau_q = n / np.sum(lam2 / (tau_x * lam2 + sigma2))
+        nxt = tau0 * tau_q / (tau0 + tau_q)
+        done = abs(nxt - tau_x) <= tol * tau_x
+        tau_x = nxt
+        if done:
+            return tau_x, True
+    return tau_x, False
+
+
+def test_fixed_point_root_matches_iteration_where_it_converges():
+    # the bracketed root agrees with the plain iteration wherever that
+    # settles quickly; slow cases are pinned by the closed form below
+    checked = 0
+    for lam in ADVERSARIAL_SPECTRA:
+        for sigma2 in [1e-8, 1.0, 1e6]:
+            n = lam.size
+            want, converged = iterated_fixed_point(lam, sigma2, 1.0, n)
+            if converged:
+                fp = variance_fixed_point(lam, sigma2, GaussianPrior(), (n, n))
+                assert fp.tau_x == pytest.approx(want, rel=1e-12), f"lam={lam}, sigma2={sigma2}"
+                checked += 1
+    assert checked >= 12
+
+
+def flat_spectrum_root(lam, sigma2):
+    # flat square spectrum, unit prior: tau_q = tau_x + e with e = sigma2 /
+    # lam^2, so tau_x = tau_q / (1 + tau_q) is the root of
+    # tau_x^2 + e tau_x - e = 0, written without cancellation
+    e = sigma2 / lam**2
+    return 2.0 * e / (e + np.sqrt(e * e + 4.0 * e))
+
+
+@pytest.mark.parametrize("lam,sigma2", [(1e6, 1e-8), (1e6, 1.0), (1e6, 1e6), (1.0, 1e-8), (1e-6, 1.0)])
+def test_fixed_point_flat_spectrum_closed_form(lam, sigma2):
+    fp = variance_fixed_point(np.full(5, lam), sigma2, GaussianPrior(), (5, 5))
+    assert fp.converged
+    assert fp.tau_x == pytest.approx(flat_spectrum_root(lam, sigma2), rel=1e-12)
+    assert fp.iterations <= 64
+
+
+def test_certify_high_snr_square_spectrum_converges():
+    # iterating the stepsize recursion converges only sublinearly here
+    cert = certify(1e6 * np.eye(5), GaussianPrior(), sigma2=1e-8)
+    assert cert.fixed_point.tau_x == pytest.approx(flat_spectrum_root(1e6, 1e-8), rel=1e-12)
+    assert cert.fixed_point.converged
+    assert cert.converges
+    assert "verdict: converges" in cert.report()
+
+
+@given(
+    st.sampled_from([(12, 12), (20, 8), (8, 20)]),
+    st.lists(st.floats(-8.0, 8.0), min_size=20, max_size=20),
+    st.floats(-10.0, 6.0),
+    st.floats(-2.0, 2.0),
+)
+def test_fixed_point_satisfies_recursion_across_spectra(shape, log_lam, log_sigma2, log_tau0):
+    m, n = shape
+    lam = 10.0 ** np.array(log_lam[: min(shape)])
+    sigma2, tau0 = 10.0**log_sigma2, 10.0**log_tau0
+    fp = variance_fixed_point(lam, sigma2, GaussianPrior(tau0=tau0), shape)
+    assert fp.converged and fp.iterations <= 64
+    assert fp.tau_q == pytest.approx(n / np.sum(lam**2 / (fp.tau_x * lam**2 + sigma2)), rel=1e-12)
+    assert fp.tau_x == pytest.approx(tau0 * fp.tau_q / (tau0 + fp.tau_q), rel=1e-12)
 
 
 def iteration_matrix_oracle(A, tau_x, alpha, sigma2):
@@ -244,10 +321,15 @@ def test_certify_numeric_check_and_report():
     assert certify(A, GaussianPrior(), sigma2=0.02).numeric_discrepancy is None
 
 
-def test_certify_unconverged_fixed_point_is_not_a_verdict():
-    # square high-SNR spectrum: the stepsize recursion converges sublinearly
-    # and stops at its iteration cap short of the fixed point
-    cert = certify(1e6 * np.eye(5), GaussianPrior(), sigma2=1e-8)
+def test_certify_unconverged_fixed_point_is_not_a_verdict(monkeypatch):
+    # a radius taken at a stepsize fixed point that did not converge
+    # certifies nothing, however small it is
+    def unconverged(lam, sigma2, prior, shape):
+        return VarianceFixedPoint(tau_x=0.5, tau_q=1.0, iterations=200, converged=False)
+
+    monkeypatch.setattr(spectral, "variance_fixed_point", unconverged)
+    cert = certify(np.eye(5), GaussianPrior(), sigma2=1.0)
+    assert cert.spectral_radius < 1.0
     assert not cert.fixed_point.converged
     assert not cert.converges
     text = cert.report()
