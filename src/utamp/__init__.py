@@ -16,9 +16,11 @@ from .denoisers import (
 from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_matrix, stream, synthesize_instance
 from .matrixio import load_matrix, load_vector, save_matrix, save_vector
 from .model import (
+    DftFactorization,
     Factorization,
     FactorizationError,
     LinearModel,
+    SvdFactorization,
     TransformedModel,
     circulant_factorize,
     scaled_gram_diagonal,
@@ -59,6 +61,7 @@ __all__ = [
     "BernoulliGaussianPrior",
     "ConvergenceCertificate",
     "DenoiserOutput",
+    "DftFactorization",
     "EnsembleSpec",
     "Factorization",
     "FactorizationError",
@@ -67,6 +70,7 @@ __all__ = [
     "SolverState",
     "SpectralCoefficients",
     "StepScratch",
+    "SvdFactorization",
     "Trace",
     "TransformedModel",
     "UnsupportedPriorError",

@@ -34,7 +34,7 @@ from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_ma
 from .matrixio import load_matrix, load_vector, save_matrix
 from .model import FactorizationError, LinearModel, circulant_factorize, svd_factorize, unitary_transform
 from .solvers import lmmse_transformed, run
-from .spectral import UnsupportedPriorError, certify
+from .spectral import UnsupportedPriorError, certify, format_radius
 
 __all__ = ["main", "console_main", "build_parser"]
 
@@ -289,7 +289,7 @@ def _solve(args, names, compare):
         verdict = "contractive" if cert.converges else "NOT contractive"
         if not cert.fixed_point.converged:
             verdict += ": stepsize fixed point did not converge"
-        print(f"certificate: spectral radius {cert.spectral_radius:.6g} ({verdict})")
+        print(f"certificate: spectral radius {format_radius(cert.spectral_radius)} ({verdict})")
     if out_dir is not None and compare:
         path = out_dir / "compare.csv"
         with open(path, "w", newline="") as fh:

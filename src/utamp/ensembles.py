@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Factorization, LinearModel, circulant_matrix, factor_matvec
+from .model import Factorization, LinearModel, circulant_matrix
 
 __all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_matrix", "circulant_taps", "generate_matrix", "synthesize_instance"]
 
@@ -159,7 +159,7 @@ def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
         A = np.asarray(A)
     m, n = A.shape
     x = prior.sample(n, stream(seed, DOMAIN_SIGNAL))
-    ax = factor_matvec(A, x) if isinstance(A, Factorization) else A @ x
+    ax = A.matvec(x) if isinstance(A, Factorization) else A @ x
     rng = stream(seed, DOMAIN_NOISE)
     if np.iscomplexobj(ax):
         noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))

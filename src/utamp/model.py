@@ -2,11 +2,12 @@
 
 A model is the triple (A, y, sigma2) for y = A x + n with n ~ N(0, sigma2 I);
 A is held densely or, matrix-free, as its factorization.
-A factorization A = U Lam V (U, V unitary, Lam diagonal of singular values,
-rectangular when M != N) supports the transformed model r = U^H y = Lam V x + w,
-which is what the transform-domain solver iterates on.  Dense factors are
-stored thin; the DFT-backed factorization of a circulant matrix never
-materializes U or V unless asked.
+A factorization A = U Lam V (U, V unitary, Lam diagonal, rectangular when
+M != N) supports the transformed model r = U^H y = Lam V x + w, which is what
+the transform-domain solver iterates on.  One class per unitary transform:
+SvdFactorization stores thin singular factors, and DftFactorization applies
+the DFT of a circulant A by FFTs, densifies A from its first column, and
+builds U or V only when read.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import numpy as np
 __all__ = [
     "LinearModel",
     "Factorization",
+    "SvdFactorization",
+    "DftFactorization",
     "TransformedModel",
     "FactorizationError",
     "svd_factorize",
     "circulant_factorize",
     "circulant_matrix",
-    "factor_matvec",
     "unitary_transform",
     "scaled_gram_diagonal",
 ]
@@ -96,8 +98,6 @@ class LinearModel:
     @cached_property
     def A(self) -> np.ndarray:
         """Dense A, densified from the factorization on first read."""
-        if self.fact.kind == "dft":
-            return circulant_matrix(_circulant_column(self.fact))
         return self.fact.reconstruct()
 
     @cached_property
@@ -115,19 +115,13 @@ class LinearModel:
 class Factorization:
     """A = U Lam V with unitary U (M x M) and V (N x N), k = min(M, N).
 
-    kind is "svd" (thin: U and V are U_k (M x k) and V_k (k x N), M*k + k*N
-    entries instead of M^2 + N^2) or "dft" (circulant case; U = F^H, V = F
-    for the normalized forward DFT F, applied via FFTs).  lam holds the k
-    diagonal entries of Lam; for "svd" these are the singular values, for
-    "dft" the eigenvalues of the circulant matrix (possibly complex, in
-    arbitrary order).
+    lam holds the k diagonal entries of Lam.  The applies are written once
+    here; a subclass supplies the unitary parts _v (x -> V_k x), _vh (its
+    adjoint) and _uh (y -> U_k^H y), the dense U and V, reconstruct, matvec.
     """
 
-    kind: str
     lam: np.ndarray
     shape: tuple[int, int]
-    _U: np.ndarray | None = field(default=None, repr=False)
-    _V: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def M(self) -> int:
@@ -138,59 +132,90 @@ class Factorization:
         return self.shape[1]
 
     @cached_property
-    def _dft(self) -> np.ndarray:
-        # normalized forward DFT matrix, built only on demand
-        return np.fft.fft(np.eye(self.N), axis=0, norm="ortho")
-
-    @cached_property
     def _lam_conj(self) -> np.ndarray:
         # Lam^H, read by every adjoint apply
         return np.conj(self.lam)
 
-    @property
-    def U(self) -> np.ndarray:
-        if self.kind == "dft":
-            return self._dft.conj().T
-        return self._U
-
-    @property
-    def V(self) -> np.ndarray:
-        if self.kind == "dft":
-            return self._dft
-        return self._V
-
     def apply_av(self, x: np.ndarray) -> np.ndarray:
-        """Return Lam V x (length M) without forming A."""
-        k = min(self.shape)
-        if self.kind == "dft":
-            return self.lam * np.fft.fft(x, norm="ortho")
-        z = self._V @ x
-        out = np.zeros(self.M, dtype=np.result_type(self.lam, z))
-        out[:k] = self.lam * z
-        return out
+        """Return Lam V x (length M, zero past k) without forming A."""
+        z = self.lam * self._v(x)
+        return np.pad(z, (0, self.M - z.size)) if self.M > z.size else z
 
     def apply_avh(self, s: np.ndarray) -> np.ndarray:
         """Return V^H Lam^H s (length N), the adjoint of apply_av."""
-        k = min(self.shape)
-        if self.kind == "dft":
-            return np.fft.ifft(self._lam_conj * s, norm="ortho")
-        return self._V.conj().T @ (self._lam_conj * s[:k])
+        return self._vh(self._lam_conj * s[: self.lam.size])
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:
-        """Return U_k^H y, the first k entries of U^H y (all M for "dft")."""
-        if self.kind == "dft":
-            return np.fft.fft(y, norm="ortho")
+        """Return U_k^H y, the first k entries of U^H y."""
+        return self._uh(y)
+
+
+@dataclass(eq=False)
+class SvdFactorization(Factorization):
+    """Thin SVD: U and V are U_k (M x k) and V_k (k x N), M*k + k*N entries
+    instead of M^2 + N^2; lam holds the singular values."""
+
+    _U: np.ndarray = field(repr=False)
+    _V: np.ndarray = field(repr=False)
+    U = property(lambda self: self._U)
+    V = property(lambda self: self._V)
+
+    def _v(self, x: np.ndarray) -> np.ndarray:
+        return self._V @ x
+
+    def _vh(self, z: np.ndarray) -> np.ndarray:
+        return self._V.conj().T @ z
+
+    def _uh(self, y: np.ndarray) -> np.ndarray:
         return self._U.conj().T @ y
 
     def reconstruct(self) -> np.ndarray:
-        """Densify U Lam V.  Round-trips the factorized matrix."""
-        if self.kind == "dft":
-            f = self._dft
-            return f.conj().T @ (self.lam[:, None] * f)
+        """Densify U_k Lam V_k.  Round-trips the factorized matrix."""
         return (self._U * self.lam) @ self._V
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x as U_k (Lam V_k x)."""
+        return self._U @ (self.lam * self._v(x))
 
-def svd_factorize(A) -> Factorization:
+
+@dataclass(eq=False)
+class DftFactorization(Factorization):
+    """Circulant A: U = F^H and V = F for the normalized DFT F, applied by
+    FFTs; lam holds the eigenvalues of A (possibly complex, in DFT order).
+    A densifies from its first column; F is built only when U or V is read."""
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return np.fft.fft(np.eye(self.N), axis=0, norm="ortho")
+
+    U = property(lambda self: self.V.conj().T)
+
+    def _v(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.fft(x, norm="ortho")
+
+    def _vh(self, z: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(z, norm="ortho")
+
+    _uh = _v  # U^H = F = V
+
+    @cached_property
+    def column(self) -> np.ndarray:
+        """First column of A.  It is real when its imaginary part is FFT
+        rounding (below 1e-12 of its norm), so real taps give back a real A."""
+        c = np.fft.ifft(self.lam)
+        return c.real if np.linalg.norm(c.imag) <= 1e-12 * np.linalg.norm(c) else c
+
+    def reconstruct(self) -> np.ndarray:
+        """Densify A from its first column, without the DFT matrix."""
+        return circulant_matrix(self.column)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x by two FFTs, real exactly when A and x are, as for A @ x."""
+        ax = np.fft.ifft(self.lam * np.fft.fft(x))
+        return ax.real if np.isrealobj(x) and np.isrealobj(self.column) else ax
+
+
+def svd_factorize(A) -> SvdFactorization:
     """Thin SVD of a dense matrix of any shape: U_k (M x k) and V_k (k x N)
     hold M*k + k*N entries where a full SVD holds M^2 + N^2."""
     A = _as_float_or_complex(A)
@@ -200,10 +225,10 @@ def svd_factorize(A) -> Factorization:
         u, s, vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD failed to converge: {exc}") from exc
-    return Factorization(kind="svd", lam=s, shape=A.shape, _U=u, _V=vh)
+    return SvdFactorization(lam=s, shape=A.shape, _U=u, _V=vh)
 
 
-def circulant_factorize(first_column) -> Factorization:
+def circulant_factorize(first_column) -> DftFactorization:
     """Factorize the circulant matrix with the given first column.
 
     The eigenvalues are the unnormalized DFT of the first column; U and V
@@ -213,35 +238,13 @@ def circulant_factorize(first_column) -> Factorization:
     if c.ndim != 1 or c.size < 1:
         raise FactorizationError(f"first column must be a nonempty 1-D array, got shape {c.shape}")
     lam = np.fft.fft(_finite(c, "first column"))
-    n = c.size
-    return Factorization(kind="dft", lam=lam, shape=(n, n))
+    return DftFactorization(lam=lam, shape=(c.size, c.size))
 
 
 def circulant_matrix(first_column) -> np.ndarray:
     """Dense circulant matrix C[i, j] = c[(i - j) % n] with first column c."""
     n = len(first_column)
     return np.asarray(first_column)[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-
-
-def _circulant_column(fact: Factorization) -> np.ndarray:
-    """First column of the circulant matrix behind a "dft" factorization.
-
-    It is real when its imaginary part is FFT rounding (below 1e-12 of its
-    norm), so real taps give back a real matrix.
-    """
-    c = np.fft.ifft(fact.lam)
-    return c.real if np.linalg.norm(c.imag) <= 1e-12 * np.linalg.norm(c) else c
-
-
-def factor_matvec(fact: Factorization, x: np.ndarray) -> np.ndarray:
-    """A x from the factors: two FFTs for "dft", U_k (Lam V_k x) for "svd".
-
-    The result is real exactly when A and x are, as for a dense A @ x.
-    """
-    if fact.kind == "dft":
-        ax = np.fft.ifft(fact.lam * np.fft.fft(x))
-        return ax.real if np.isrealobj(x) and np.isrealobj(_circulant_column(fact)) else ax
-    return fact.U @ fact.apply_av(x)[: min(fact.shape)]
 
 
 @dataclass(eq=False)
@@ -257,10 +260,6 @@ class TransformedModel:
     r: np.ndarray
     sigma2: float
     lam_p: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return self.fact.M
 
     @property
     def N(self) -> int:

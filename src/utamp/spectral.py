@@ -37,6 +37,7 @@ __all__ = [
     "closed_form_eigenvalues",
     "numeric_iteration_matrix",
     "eigenvalue_discrepancy",
+    "format_radius",
     "certify",
 ]
 
@@ -97,7 +98,7 @@ class ConvergenceCertificate:
             f"({self.fixed_point.iterations} evaluations"
             f"{'' if self.fixed_point.converged else ', NOT converged'})",
             f"  alpha = {c.alpha:.6g}",
-            f"  spectral radius = {self.spectral_radius:.6g} "
+            f"  spectral radius = {format_radius(self.spectral_radius)} "
             f"({self.eigenvalues.size} closed-form eigenvalues)",
         ]
         if self.numeric_discrepancy is not None:
@@ -110,6 +111,13 @@ class ConvergenceCertificate:
             verdict = "NOT certified (spectral radius >= 1)"
         lines.append(f"  verdict: {verdict}")
         return "\n".join(lines)
+
+
+def format_radius(radius: float) -> str:
+    """The radius to 6 significant digits, or as 1 - gap within 1e-6 below
+    1, where 6 digits would print a contraction as 1."""
+    gap = 1.0 - radius
+    return f"1 - {gap:.3g}" if 0.0 < gap <= 1e-6 else f"{radius:.6g}"
 
 
 def variance_fixed_point(
@@ -219,13 +227,9 @@ def numeric_iteration_matrix(
     k = min(m, n)
     tau_x, sigma2, alpha = coeff.tau_x, coeff.sigma2, coeff.alpha
 
-    lam_p = np.zeros(m)
-    lam_p[:k] = np.abs(fact.lam) ** 2
+    lam_p = np.pad(np.abs(fact.lam) ** 2, (0, m - k))
     d = 1.0 / (tau_x * lam_p + sigma2)
-
-    v = fact.V
-    lv = np.zeros((m, n), dtype=np.result_type(fact.lam, v))
-    lv[:k] = fact.lam[:, None] * v[:k]
+    lv = np.pad(fact.lam[:, None] * fact.V[:k], ((0, m - k), (0, 0)))
 
     c_a = np.diag(tau_x * d * lam_p).astype(lv.dtype)
     c_b = -d[:, None] * lv
@@ -283,17 +287,7 @@ def certify(
         raise ValueError("sigma2 is required when certifying a bare matrix or factorization")
 
     fp = variance_fixed_point(fact.lam, sigma2, prior, fact.shape)
-    if not np.isfinite(fp.tau_q):
-        # zero matrix: the iteration map is identically the prior mean
-        coeff = SpectralCoefficients(
-            alpha=0.0,
-            betas=np.zeros(min(fact.shape)),
-            shape=fact.shape,
-            tau_x=fp.tau_x,
-            sigma2=float(sigma2),
-        )
-    else:
-        coeff = spectral_coefficients(fp, fact.lam, sigma2, fact.shape)
+    coeff = spectral_coefficients(fp, fact.lam, sigma2, fact.shape)
     eigs = closed_form_eigenvalues(coeff)
     radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     cert = ConvergenceCertificate(

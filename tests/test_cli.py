@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from utamp import Factorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
+from utamp import DftFactorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
 from utamp import cli
 from utamp.cli import main, parse_ensemble, parse_prior, CliError
 from utamp.denoisers import BernoulliGaussianPrior, GaussianPrior
@@ -273,7 +273,7 @@ def test_certify_circulant_matches_dense_certificate(capsys, monkeypatch):
     monkeypatch.setattr(cli, "certify", spy_certify)
     assert main(["certify", "circulant", "64", "64", "seed=3", "--sigma2", "0.05"]) == 0
     assert len(certs) == 1
-    assert isinstance(targets[0], Factorization) and targets[0].kind == "dft", "certify must take the FFT route"
+    assert isinstance(targets[0], DftFactorization), "certify must take the FFT route"
     want = certify(generate_matrix(spec), GaussianPrior(), sigma2=0.05)
     assert abs(certs[0].spectral_radius - want.spectral_radius) <= 1e-12
     assert f"spectral radius = {want.spectral_radius:.6g}" in capsys.readouterr().out
@@ -340,6 +340,16 @@ def test_compare_matrix_file_factorizes_once(tmp_path, capsys, monkeypatch):
     assert len(certs) == 1
     assert abs(certs[0].spectral_radius - want) <= 1e-12
     assert f"certificate: spectral radius {want:.6g} (contractive)" in capsys.readouterr().out
+
+
+def test_radius_near_one_prints_its_gap(tmp_path, capsys):
+    # the radius is 1 - 1e-10; six significant digits would print it as 1
+    cert = certify(1e6 * np.eye(5), GaussianPrior(), sigma2=1e-8)
+    assert "spectral radius = 1 - 1e-10 (" in cert.report()
+    save_matrix(tmp_path / "A.txt", 1e6 * np.eye(5))
+    main(["compare", "--matrix", str(tmp_path / "A.txt"), "--sigma2", "1e-8",
+          "--algorithms", "utamp,amp-scalar", "--max-iters", "5"])
+    assert "certificate: spectral radius 1 - 1e-10 (contractive)" in capsys.readouterr().out
 
 
 def test_cli_import_does_not_load_scipy():

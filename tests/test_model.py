@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from utamp import (
+    DftFactorization,
+    Factorization,
     FactorizationError,
     GaussianPrior,
     LinearModel,
+    SvdFactorization,
     circulant_factorize,
     load_matrix,
     load_vector,
@@ -15,6 +20,7 @@ from utamp import (
     svd_factorize,
     unitary_transform,
 )
+from utamp.model import circulant_matrix
 
 
 def test_linear_model_validation():
@@ -102,6 +108,7 @@ def test_svd_factorization_identities(shape, complex_entries):
 
     x = rng.standard_normal(n)
     y = rng.standard_normal(m)
+    assert np.allclose(f.matvec(x), f.reconstruct() @ x)
     # Lam V x lives in the transform domain: rows past k are zero, and
     # lifting the first k back with U_k gives A x
     lvx = f.apply_av(x)
@@ -150,6 +157,39 @@ def test_circulant_factorization_matches_dense():
     lhs = np.vdot(s, f.apply_av(x))
     rhs = np.vdot(f.apply_avh(s), x)
     assert np.isclose(lhs, rhs)
+    # A x from two FFTs, real exactly when the taps and x are
+    assert f.matvec(x).dtype == np.float64
+    assert np.allclose(f.matvec(x), f.reconstruct() @ x, atol=1e-12)
+    assert np.allclose(f.matvec(s), A @ s, atol=1e-12)
+    fc = circulant_factorize(c + 1j * rng.standard_normal(8))
+    assert fc.reconstruct().dtype == np.complex128
+    assert np.allclose(fc.matvec(x), fc.reconstruct() @ x, atol=1e-12)
+    assert np.allclose(fc.matvec(s), fc.reconstruct() @ s, atol=1e-12)
+
+
+def test_dft_reconstruct_densifies_from_first_column():
+    n = 2048
+    taps = np.random.default_rng(4).standard_normal(n)
+    f = circulant_factorize(taps)
+    tracemalloc.start()
+    try:
+        dense = f.reconstruct()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.dtype == np.float64, "real taps densify to a real matrix"
+    assert np.max(np.abs(dense - circulant_matrix(taps))) <= 1e-12
+    # the result and one index array; the DFT matrix route takes 8 of these
+    assert peak < 3 * n * n * 8, f"peak allocation {peak / 2**20:.1f} MiB"
+
+
+def test_applies_live_on_the_base_class():
+    # a tracer that wraps Factorization.apply_* must see every subclass's calls
+    for name in ("apply_av", "apply_avh", "apply_uh"):
+        assert name in vars(Factorization)
+        assert name not in vars(SvdFactorization) and name not in vars(DftFactorization)
+    assert isinstance(svd_factorize(np.eye(3)), SvdFactorization)
+    assert isinstance(circulant_factorize(np.ones(3)), DftFactorization)
 
 
 def test_circulant_factorize_rejects_bad_input():
