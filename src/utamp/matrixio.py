@@ -1,12 +1,20 @@
 """Plain-text storage for matrices and vectors.
 
 Layout: a header line ``M N real`` or ``M N complex`` followed by M data
-rows.  Real entries are single floats; complex entries are written as
-``re im`` pairs, so a complex row carries 2N numbers.  Vectors are stored
-as single-column matrices.
+rows of whitespace-separated numbers.  Real entries are single floats;
+complex entries are written as ``re im`` pairs, so a complex row carries 2N
+numbers, and it is read as that float block viewed as complex, so no part is
+rounded or rebuilt.  Vectors are stored as single-column matrices.
+
+Blank lines are skipped, and ``#`` is not a comment.  The rows are read by
+numpy's float parser, not by Python's ``float``: it returns the same bits
+for everything ``save_matrix`` writes (NaN, +-inf, -0 and subnormals
+included), but rejects ``1_000``-style underscores and non-ASCII digits.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -20,60 +28,68 @@ def save_matrix(path, a) -> None:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
     m, n = a.shape
     kind = "complex" if np.iscomplexobj(a) else "real"
+    # a complex row is written through its interleaved (re, im) float view
+    rows = np.ascontiguousarray(a, dtype=np.complex128 if kind == "complex" else np.float64).view(np.float64)
+    fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{m} {n} {kind}\n")
-        for row in a:
-            if kind == "complex":
-                parts = [f"{z.real:.17g} {z.imag:.17g}" for z in row]
-            else:
-                parts = [f"{float(v):.17g}" for v in row]
-            fh.write(" ".join(parts) + "\n")
+        for row in rows:
+            fh.write(fmt % tuple(row.tolist()))
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`.
 
-    Raises ValueError with the offending line number on any malformed
-    header or row.
+    The data rows are parsed in one pass by ``np.loadtxt``, straight from the
+    open file.  Raises ValueError with the offending line number on any
+    malformed header or row.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    rows = [(no, ln) for no, ln in stripped if ln]
-    if not rows:
-        raise ValueError(f"{path}: line 1: empty file, expected 'M N real|complex' header")
+        head_no, head = 0, ""
+        while not head:
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}: line 1: empty file, expected 'M N real|complex' header")
+            head_no, head = head_no + 1, line.strip()
+        fields = head.split()
+        if len(fields) != 3 or fields[2] not in ("real", "complex"):
+            raise ValueError(f"{path}: line {head_no}: bad header {head!r}, expected 'M N real|complex'")
+        try:
+            m, n = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {head_no}: bad header {head!r}, M and N must be integers") from None
+        if m < 1 or n < 1:
+            raise ValueError(f"{path}: line {head_no}: dimensions must be positive, got {m} x {n}")
+        is_complex = fields[2] == "complex"
+        per_row = 2 * n if is_complex else n
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as a row count, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+        except ValueError as exc:
+            _raise_row_error(path, head_no, m, per_row, exc)
+    if block.shape != (m, per_row):
+        _raise_row_error(path, head_no, m, per_row, None)
+    return block.view(np.complex128) if is_complex else block
 
-    head_no, head = rows[0]
-    fields = head.split()
-    if len(fields) != 3 or fields[2] not in ("real", "complex"):
-        raise ValueError(f"{path}: line {head_no}: bad header {head!r}, expected 'M N real|complex'")
-    try:
-        m, n = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise ValueError(f"{path}: line {head_no}: bad header {head!r}, M and N must be integers") from None
-    if m < 1 or n < 1:
-        raise ValueError(f"{path}: line {head_no}: dimensions must be positive, got {m} x {n}")
 
-    body = rows[1:]
+def _raise_row_error(path, head_no: int, m: int, per_row: int, error: ValueError | None):
+    """Rescan the data rows of a file the parser rejected, only to name the
+    first bad line; the parser's own message is the fallback."""
+    with open(path) as fh:
+        body = [(no, line.split()) for no, line in enumerate(fh, 1) if no > head_no and line.strip()]
     if len(body) != m:
         raise ValueError(f"{path}: expected {m} data rows, found {len(body)}")
-
-    is_complex = fields[2] == "complex"
-    per_row = 2 * n if is_complex else n
-    out = np.zeros((m, n), dtype=complex if is_complex else float)
-    for r, (no, ln) in enumerate(body):
-        toks = ln.split()
+    for no, toks in body:
         if len(toks) != per_row:
             raise ValueError(f"{path}: line {no}: expected {per_row} numbers, found {len(toks)}")
-        try:
-            vals = [float(t) for t in toks]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {no}: {exc}") from None
-        if is_complex:
-            out[r] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-        else:
-            out[r] = vals
-    return out
+        for tok in toks:
+            try:
+                float(tok)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {no}: {exc}") from None
+    raise ValueError(f"{path}: {error or f'expected {m} x {per_row} numbers'}") from error
 
 
 def save_vector(path, v) -> None:

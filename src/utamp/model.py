@@ -37,10 +37,8 @@ class FactorizationError(RuntimeError):
 
 
 def _as_float_or_complex(a):
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return a.astype(np.complex128)
-    return a.astype(np.float64)
+    # copies only when the dtype changes: a float64 or complex128 A is held once
+    return np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -62,6 +60,8 @@ class LinearModel:
 
     x_true is optional; when present it enables error tracking but is never
     read by the solver steps themselves.  Non-finite entries are rejected.
+    A, y and x_true are held, not copied, when they are already float64 or
+    complex128; the model does not write to them, and neither may the caller.
     """
 
     def __init__(self, A, y, sigma2: float, x_true=None):

@@ -97,7 +97,7 @@ class ConvergenceCertificate:
             f"tau_q = {self.fixed_point.tau_q:.6g} "
             f"({self.fixed_point.iterations} evaluations"
             f"{'' if self.fixed_point.converged else ', NOT converged'})",
-            f"  alpha = {c.alpha:.6g}",
+            f"  alpha = {format_radius(c.alpha)}",
             f"  spectral radius = {format_radius(self.spectral_radius)} "
             f"({self.eigenvalues.size} closed-form eigenvalues)",
         ]
@@ -114,8 +114,8 @@ class ConvergenceCertificate:
 
 
 def format_radius(radius: float) -> str:
-    """The radius to 6 significant digits, or as 1 - gap within 1e-6 below
-    1, where 6 digits would print a contraction as 1."""
+    """The radius (or alpha) to 6 significant digits, or as 1 - gap within
+    1e-6 below 1, where 6 digits would print a contraction as 1."""
     gap = 1.0 - radius
     return f"1 - {gap:.3g}" if 0.0 < gap <= 1e-6 else f"{radius:.6g}"
 

@@ -346,6 +346,7 @@ def test_radius_near_one_prints_its_gap(tmp_path, capsys):
     # the radius is 1 - 1e-10; six significant digits would print it as 1
     cert = certify(1e6 * np.eye(5), GaussianPrior(), sigma2=1e-8)
     assert "spectral radius = 1 - 1e-10 (" in cert.report()
+    assert "  alpha = 1 - 1e-10\n" in cert.report()
     save_matrix(tmp_path / "A.txt", 1e6 * np.eye(5))
     main(["compare", "--matrix", str(tmp_path / "A.txt"), "--sigma2", "1e-8",
           "--algorithms", "utamp,amp-scalar", "--max-iters", "5"])

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from utamp import (
     DftFactorization,
@@ -301,6 +304,14 @@ def test_load_vector_rejects_matrix(tmp_path):
         ("2 2 real\n1 2\n3\n", "line 3"),
         ("2 2 real\n1 2\n3 oops\n", "line 3"),
         ("1 2 complex\n1 2 3\n", "expected 4 numbers"),
+        ("1 2 real\n1 2\n3 4\n", "expected 1 data rows, found 2"),
+        # blank lines are skipped but still counted in line numbers
+        ("2 2 real\n\n1 2\n\n3 oops\n", "line 5: could not convert string to float: 'oops'"),
+        # '#' is not a comment
+        ("1 2 real\n1 # 2\n", "line 2: expected 2 numbers, found 3"),
+        ("1 2 real\n1 #2\n", "line 2: could not convert"),
+        # float() takes underscores, numpy's parser does not: its message is kept
+        ("1 1 real\n1_000\n", "could not convert string '1_000'"),
     ],
 )
 def test_load_matrix_errors(tmp_path, content, fragment):
@@ -309,3 +320,97 @@ def test_load_matrix_errors(tmp_path, content, fragment):
     with pytest.raises(ValueError) as err:
         load_matrix(path)
     assert fragment in str(err.value), f"expected {fragment!r} in {err.value}"
+
+
+def test_load_matrix_reads_crlf_tabs_and_blank_lines(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"\r\n2 2 real\r\n1\t2\r\n\r\n  3 \t 4  \r\n\r\n")
+    assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_load_matrix_complex_keeps_signed_zero_and_inf(tmp_path):
+    # each part is read as written: no 1j * im product turns 0 * inf into NaN
+    path = tmp_path / "c.txt"
+    path.write_text("1 2 complex\n1 inf -0 2\n")
+    z = load_matrix(path)
+    assert z.dtype == np.complex128 and z.shape == (1, 2)
+    want = np.array([1.0, np.inf, -0.0, 2.0])
+    assert np.array_equal(z.view(np.uint64), want.view(np.uint64)[None, :])
+    assert np.signbit(z[0, 1].real) and z[0, 0].imag == np.inf
+
+
+_SPECIAL_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308, 1.7976931348623157e308])
+
+
+def _matrices(floats):
+    """Real (m, n) or complex (m, n) matrices, 1 <= m, n <= 6, with entries
+    drawn from ``floats`` (a complex matrix is a float block viewed as complex)."""
+    return st.tuples(st.integers(1, 6), st.integers(1, 6), st.booleans()).flatmap(
+        lambda t: arrays(np.float64, (t[0], 2 * t[1] if t[2] else t[1]), elements=floats).map(
+            lambda a: a.view(np.complex128) if t[2] else a
+        )
+    )
+
+
+def _per_element_format(a) -> str:
+    """The text save_matrix wrote before rows were %-formatted whole."""
+    m, n = a.shape
+    kind = "complex" if np.iscomplexobj(a) else "real"
+    lines = [f"{m} {n} {kind}"]
+    for row in a:
+        if kind == "complex":
+            parts = [f"{z.real:.17g} {z.imag:.17g}" for z in row]
+        else:
+            parts = [f"{float(v):.17g}" for v in row]
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+@given(_matrices(st.floats() | _SPECIAL_FLOATS))
+def test_save_matrix_bytes_match_per_element_format(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("save") / "a.txt"
+    save_matrix(path, a)
+    assert path.read_bytes() == _per_element_format(a).encode()
+
+
+# the format writes every NaN as "nan", which reads back as np.nan, so that is
+# the one NaN drawn; every other float64 must come back bit for bit
+@given(_matrices(st.floats(allow_nan=False) | _SPECIAL_FLOATS))
+def test_matrix_io_roundtrip_is_bit_exact(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("roundtrip") / "a.txt"
+    save_matrix(path, a)
+    b = load_matrix(path)
+    assert b.dtype == a.dtype and b.shape == a.shape
+    assert np.array_equal(b.view(np.uint64), a.view(np.uint64))
+
+
+def test_load_matrix_peak_memory_is_near_its_result(tmp_path):
+    path = tmp_path / "a.txt"
+    save_matrix(path, np.random.default_rng(3).standard_normal((2000, 500)))
+    tracemalloc.start()
+    try:
+        a = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (2000, 500)
+    assert peak < 2 * a.nbytes, f"peak {peak / a.nbytes:.2f} x the array's bytes"
+
+
+def test_model_and_svd_hold_float64_a_without_copying(monkeypatch):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 4))
+    y = rng.standard_normal(6)
+    model = LinearModel(A, y, 0.1)
+    assert np.shares_memory(model.A, A) and np.shares_memory(model.y, y)
+
+    seen = []
+    real_svd = np.linalg.svd
+
+    def spy_svd(a, *args, **kwargs):
+        seen.append(a)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    svd_factorize(model.A)
+    assert len(seen) == 1 and np.shares_memory(seen[0], A)
