@@ -62,7 +62,9 @@ def _conjugate(q, tau_q, x0, tau0):
     tq = np.where(finite, tau_q, 1.0)
     gain = np.where(finite, tau0 / (tau0 + tq), 0.0)
     shrink = np.where(finite, tq / (tau0 + tq), 1.0)
-    return gain * q + shrink * x0, shrink
+    mean = np.multiply(gain, q, dtype=np.result_type(gain, q, shrink, x0))
+    mean += shrink * x0
+    return mean, shrink
 
 
 @dataclass(eq=False)
@@ -184,16 +186,23 @@ def bg_denoise(q, tau_q, prior: BernoulliGaussianPrior) -> DenoiserOutput:
 
     m_act, shrink = _conjugate(q, tau_q, mu, v)
     v_act = v * shrink
-    m2 = np.abs(m_act) ** 2
+    m2 = np.abs(m_act)
+    np.square(m2, out=m2)
     if rho == 1.0:
         pi = 1.0
     else:
         k = 1.0 if prior.complex_valued else 0.5
-        neg_t = np.log1p(-rho) - np.log(rho) - k * (np.log(shrink) - abs(mu) ** 2 / v) - (k / v_act) * m2
+        # one work array holds -t, then exp(-t), then pi = 1 / (1 + exp(-t))
+        pi = np.multiply(k / v_act, m2)
+        np.subtract(np.log1p(-rho) - np.log(rho) - k * (np.log(shrink) - abs(mu) ** 2 / v), pi, out=pi)
         with np.errstate(over="ignore"):
             # exp(-t) = inf below t = -709 gives pi = 0, the exact limit
-            pi = 1.0 / (1.0 + np.exp(neg_t))
+            np.exp(pi, out=pi)
+        pi += 1.0
+        np.reciprocal(pi, out=pi)
 
-    mean = pi * m_act
-    var = pi * (v_act + (1.0 - pi) * m2)
-    return DenoiserOutput(mean=mean, var=var)
+    var = np.subtract(1.0, pi, out=np.empty_like(m2))
+    var *= m2
+    var += v_act
+    var *= pi
+    return DenoiserOutput(mean=np.multiply(pi, m_act, out=m_act), var=var)

@@ -118,6 +118,9 @@ class Factorization:
     lam holds the k diagonal entries of Lam.  The applies are written once
     here; a subclass supplies the unitary parts _v (x -> V_k x), _vh (its
     adjoint) and _uh (y -> U_k^H y), the dense U and V, reconstruct, matvec.
+    _v and _uh return a fresh array and leave their argument alone (apply_av
+    scales the result in place); _vh may overwrite its argument, which
+    apply_avh allocates for it.
     """
 
     lam: np.ndarray
@@ -131,19 +134,18 @@ class Factorization:
     def N(self) -> int:
         return self.shape[1]
 
-    @cached_property
-    def _lam_conj(self) -> np.ndarray:
-        # Lam^H, read by every adjoint apply
-        return np.conj(self.lam)
-
     def apply_av(self, x: np.ndarray) -> np.ndarray:
         """Return Lam V x (length M, zero past k) without forming A."""
-        z = self.lam * self._v(x)
+        z = self._v(x)
+        np.multiply(self.lam, z, out=z)
         return np.pad(z, (0, self.M - z.size)) if self.M > z.size else z
 
     def apply_avh(self, s: np.ndarray) -> np.ndarray:
         """Return V^H Lam^H s (length N), the adjoint of apply_av."""
-        return self._vh(self._lam_conj * s[: self.lam.size])
+        k = self.lam.size
+        z = np.conjugate(self.lam, out=np.empty(k, np.result_type(self.lam, s)))
+        np.multiply(z, s[:k], out=z)
+        return self._vh(z)
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:
         """Return U_k^H y, the first k entries of U^H y."""
@@ -163,11 +165,13 @@ class SvdFactorization(Factorization):
     def _v(self, x: np.ndarray) -> np.ndarray:
         return self._V @ x
 
+    # conj(F^T conj(z)) is F^H z without the k x N copy that F.conj() makes
+    # of a complex factor
     def _vh(self, z: np.ndarray) -> np.ndarray:
-        return self._V.conj().T @ z
+        return (self._V.T @ z.conj()).conj()
 
     def _uh(self, y: np.ndarray) -> np.ndarray:
-        return self._U.conj().T @ y
+        return (self._U.T @ y.conj()).conj()
 
     def reconstruct(self) -> np.ndarray:
         """Densify U_k Lam V_k.  Round-trips the factorized matrix."""
@@ -191,10 +195,11 @@ class DftFactorization(Factorization):
     U = property(lambda self: self.V.conj().T)
 
     def _v(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.fft(x, norm="ortho")
+        z = np.array(x, dtype=np.complex128)
+        return np.fft.fft(z, norm="ortho", out=z)
 
     def _vh(self, z: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(z, norm="ortho")
+        return np.fft.ifft(z, norm="ortho", out=z)
 
     _uh = _v  # U^H = F = V
 

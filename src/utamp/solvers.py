@@ -71,11 +71,12 @@ class StepScratch:
 
 def _guarded_correction(x, tau_q, corr):
     # x + tau_q * corr with tau_q = inf treated as "no update" so that
-    # inf * 0 never produces a nan
+    # inf * 0 never produces a nan; a scalar tau_q overwrites corr with it
     tau_q_arr = np.asarray(tau_q, dtype=float)
     finite = np.isfinite(tau_q_arr)
     if tau_q_arr.ndim == 0:
-        return x + float(tau_q_arr) * corr if finite else x + 0.0 * corr
+        np.multiply(float(tau_q_arr) if finite else 0.0, corr, out=corr)
+        return np.add(x, corr, out=corr)
     return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
 
 
@@ -125,14 +126,25 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[So
     variances stay per element: tau_p = tau_x * lam_p, where lam_p holds the
     squared singular values padded to length M.  The pseudo-observation
     variance is N / <lam_p, tau_s>.
+
+    Outside the denoiser, every length-N array the step allocates is one
+    it returns: p and q are built in the outputs of the two applies.
     """
     fact = tmodel.fact
     tau_x = float(np.mean(state.tau_x))
     tau_p = tau_x * tmodel.lam_p
-    p = fact.apply_av(state.x) - tau_p * state.s
-    tau_s = 1.0 / (tau_p + tmodel.sigma2)
-    s = tau_s * (tmodel.r - p)
-    denom = float(np.dot(tmodel.lam_p, tau_s))
+    p = fact.apply_av(state.x)
+    dtype = np.result_type(p, state.s, tmodel.r)
+    p = p.astype(dtype, copy=False)
+    s = np.multiply(tau_p, state.s, dtype=dtype)
+    p -= s
+    tau_s = tau_p + tmodel.sigma2
+    np.reciprocal(tau_s, out=tau_s)
+    np.subtract(tmodel.r, p, out=s)
+    np.multiply(tau_s, s, out=s)
+    # einsum sums in numpy, not in BLAS, so the iterate does not depend on
+    # the number of BLAS threads
+    denom = float(np.einsum("i,i", tmodel.lam_p, tau_s))
     tau_q = tmodel.N / denom if denom > 0 else np.inf
     q = _guarded_correction(state.x, tau_q, fact.apply_avh(s))
     out = prior.denoise(q, tau_q)

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from utamp import (
     EnsembleSpec,
     GaussianPrior,
     BernoulliGaussianPrior,
+    DftFactorization,
     LinearModel,
     certify,
     circulant_taps,
@@ -467,3 +472,207 @@ def test_trace_mse_empty_without_ground_truth():
     rows = list(csv.reader(io.StringIO(trace.to_csv_string())))
     assert all(row[5] == "" for row in rows[1:])
     assert trace.column("mse") == [None] * 5
+
+
+# ---------------------------------------------------------------- in-place transform-domain step
+
+
+def _factorizations():
+    rng = np.random.default_rng(21)
+    n = 12
+    return {
+        "dft_real_taps": circulant_factorize(rng.standard_normal(n)),
+        "dft_complex_taps": circulant_factorize(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        "svd_tall": svd_factorize(rng.standard_normal((9, 6))),
+        "svd_wide": svd_factorize(rng.standard_normal((6, 9))),
+        "svd_complex": svd_factorize(rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))),
+    }
+
+
+def _frozen(*arrays):
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("name", list(_factorizations()))
+def test_applies_and_step_leave_their_inputs_unchanged(name):
+    fact = _factorizations()[name]
+    m, n = fact.shape
+    rng = np.random.default_rng(22)
+    for x, s, y in [
+        (rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(m)),
+        (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(m) + 1j * rng.standard_normal(m),
+         rng.standard_normal(m) + 1j * rng.standard_normal(m)),
+    ]:
+        before = _frozen(x, s, y)
+        fact.apply_av(x)
+        fact.apply_avh(s)
+        fact.apply_uh(y)
+        assert _frozen(x, s, y) == before
+
+    prior = BernoulliGaussianPrior(rho=0.3)
+    tm = unitary_transform(LinearModel(fact, rng.standard_normal(m), 0.1), fact)
+    state = initial_state("utamp", n, m, prior, dtype=tm.r.dtype)
+    for _ in range(3):
+        before = _frozen(state.x, state.s, tm.r, tm.lam_p)
+        new, _ = ut_amp_step(state, tm, prior)
+        assert _frozen(state.x, state.s, tm.r, tm.lam_p) == before
+        state = new
+
+
+def _reference_conjugate(q, tau_q, x0, tau0):
+    finite = np.isfinite(tau_q)
+    tq = np.where(finite, tau_q, 1.0)
+    gain = np.where(finite, tau0 / (tau0 + tq), 0.0)
+    shrink = np.where(finite, tq / (tau0 + tq), 1.0)
+    return gain * q + shrink * x0, shrink
+
+
+def _reference_denoise(q, tau_q, prior):
+    # the denoisers as they were before they wrote into their outputs
+    tau_q = np.asarray(tau_q, dtype=float)
+    if isinstance(prior, GaussianPrior):
+        mean, shrink = _reference_conjugate(q, tau_q, prior.x0, prior.tau0)
+        var = prior.tau0 * shrink
+        return mean, var if np.ndim(var) else np.full(q.shape[0], var)
+    rho, mu, v = prior.rho, prior.mu, prior.v
+    m_act, shrink = _reference_conjugate(q, tau_q, mu, v)
+    v_act = v * shrink
+    m2 = np.abs(m_act) ** 2
+    if rho == 1.0:
+        pi = 1.0
+    else:
+        k = 1.0 if prior.complex_valued else 0.5
+        neg_t = np.log1p(-rho) - np.log(rho) - k * (np.log(shrink) - abs(mu) ** 2 / v) - (k / v_act) * m2
+        with np.errstate(over="ignore"):
+            pi = 1.0 / (1.0 + np.exp(neg_t))
+    return pi * m_act, pi * (v_act + (1.0 - pi) * m2)
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [BernoulliGaussianPrior(rho=0.3), BernoulliGaussianPrior(rho=0.3, mu=1j), BernoulliGaussianPrior(rho=1.0, mu=-0.5),
+     GaussianPrior(x0=1j, tau0=2.0), GaussianPrior(x0=np.linspace(-1, 1, 64), tau0=np.linspace(0.5, 2, 64))],
+    ids=["bg", "bg_complex_mu", "bg_rho1", "gauss_complex_x0", "gauss_vectors"],
+)
+def test_denoisers_are_bit_identical_to_the_out_of_place_formulas(prior):
+    rng = np.random.default_rng(26)
+    q = rng.standard_normal(64)
+    q[::5], q[1::9] = 0.0, -0.0
+    for q in (q, q + 1j * rng.standard_normal(64)):
+        for tau_q in (0.3, np.inf, np.where(rng.random(64) < 0.25, np.inf, 0.7)):
+            out = prior.denoise(q, tau_q)
+            mean, var = _reference_denoise(q, tau_q, prior)
+            assert out.mean.dtype == mean.dtype and out.mean.tobytes() == mean.tobytes()
+            assert out.var.tobytes() == np.broadcast_to(var, (64,)).astype(float).tobytes()
+
+
+def _reference_ut_step(state, tm, prior):
+    # the step as it was before it built p, s and q in place, with fresh
+    # temporaries, Lam^H formed per call and F^H applied as F.conj().T
+    fact = tm.fact
+    dft = isinstance(fact, DftFactorization)
+    tau_x = float(np.mean(state.tau_x))
+    tau_p = tau_x * tm.lam_p
+    z = fact.lam * (np.fft.fft(state.x, norm="ortho") if dft else fact.V @ state.x)
+    p = np.pad(z, (0, fact.M - z.size)) - tau_p * state.s
+    tau_s = 1.0 / (tau_p + tm.sigma2)
+    s = tau_s * (tm.r - p)
+    # the reduction is the one deliberate change: np.dot ran through BLAS
+    denom = float(np.einsum("i,i", tm.lam_p, tau_s))
+    tau_q = tm.N / denom if denom > 0 else np.inf
+    z = np.conj(fact.lam) * s[: fact.lam.size]
+    corr = np.fft.ifft(z, norm="ortho") if dft else fact.V.conj().T @ z
+    q = state.x + tau_q * corr if np.isfinite(tau_q) else state.x + 0.0 * corr
+    mean, var = _reference_denoise(q, tau_q, prior)
+    return [mean, float(np.mean(var)), s, tau_p, p, tau_s, tau_q, q]
+
+
+def _step_cases():
+    # (factorization, prior, state dtype, y or None for a real random y)
+    rng = np.random.default_rng(23)
+    fs = _factorizations()
+    a_real = svd_factorize(rng.standard_normal((7, 5)))
+    y_complex = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    bg_complex = BernoulliGaussianPrior(rho=0.2, mu=0.5, complex_valued=True)
+    return {
+        "dft_real_bg": (fs["dft_real_taps"], BernoulliGaussianPrior(rho=0.2), complex, None),
+        "dft_complex_bg_complex": (fs["dft_complex_taps"], bg_complex, complex, None),
+        "svd_tall_gauss": (fs["svd_tall"], GaussianPrior(x0=0.3, tau0=1.5), float, None),
+        "svd_wide_bg_rho1": (fs["svd_wide"], BernoulliGaussianPrior(rho=1.0, mu=1.0), float, None),
+        "svd_complex_vector_tau0": (fs["svd_complex"], GaussianPrior(tau0=np.linspace(0.5, 2.0, 6)), complex, None),
+        "real_a_complex_prior": (a_real, BernoulliGaussianPrior(rho=0.3, complex_valued=True), float, None),
+        "real_a_complex_y": (a_real, GaussianPrior(), float, y_complex),
+        "zero_taps_bg": (circulant_factorize(np.zeros(8)), BernoulliGaussianPrior(rho=0.2), complex, None),
+        "zero_taps_gauss": (circulant_factorize(np.zeros(8)), GaussianPrior(x0=0.5), complex, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_step_cases()))
+def test_ut_step_is_bit_identical_to_the_out_of_place_step(case):
+    fact, prior, dtype, y = _step_cases()[case]
+    m, n = fact.shape
+    rng = np.random.default_rng(24)
+    y = rng.standard_normal(m) if y is None else y
+    tm = unitary_transform(LinearModel(fact, y, 0.05), fact)
+    state = initial_state("utamp", n, m, prior, dtype=dtype)
+    for _ in range(4):
+        want = _reference_ut_step(state, tm, prior)
+        new, sc = ut_amp_step(state, tm, prior)
+        got = [new.x, new.tau_x, new.s, sc.tau_p, sc.p, sc.tau_s, sc.tau_q, sc.q]
+        for name, g, w in zip(["x", "tau_x", "s", "tau_p", "p", "tau_s", "tau_q", "q"], got, want):
+            g, w = np.asarray(g), np.asarray(w)
+            # p alone may be wider: a real Lam V x - tau_p s is held complex
+            # when r is complex, because s is built in the same buffer type
+            assert g.dtype == w.dtype or (name == "p" and g.dtype == np.result_type(w, tm.r)), name
+            assert g.tobytes() == w.astype(g.dtype).tobytes(), name
+        state = new
+    if case.startswith("zero_taps"):
+        assert sc.tau_q == np.inf and np.array_equal(new.x, prior.mean_vector(n))
+
+
+def test_ut_step_allocates_little_beyond_what_it_returns():
+    # one DFT step at n = 2^18 on a complex state with a BG prior: tau_p,
+    # p, tau_s, s, q and the denoiser's mean, var and two real work arrays
+    # come to 6.5 x 16n bytes; the out-of-place step peaked at 8.5 x 16n
+    n = 2**18
+    rng = np.random.default_rng(25)
+    fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
+    prior = BernoulliGaussianPrior(rho=0.1)
+    y = fact.matvec(prior.sample(n, rng)) + 0.03 * rng.standard_normal(n)
+    tm = unitary_transform(LinearModel(fact, y, 1e-3), fact)
+    state, _ = ut_amp_step(initial_state("utamp", n, n, prior, dtype=complex), tm, prior)
+    tracemalloc.start()
+    try:
+        ut_amp_step(state, tm, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 16 * n, f"peak {peak / (16 * n):.2f} x 16n bytes"
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from utamp import BernoulliGaussianPrior, LinearModel, circulant_factorize, initial_state, unitary_transform, ut_amp_step
+n = 2**16
+rng = np.random.default_rng(5)
+fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
+prior = BernoulliGaussianPrior(rho=0.1)
+y = fact.matvec(prior.sample(n, rng)) + 0.03 * rng.standard_normal(n)
+tm = unitary_transform(LinearModel(fact, y, 1e-3), fact)
+state = initial_state("utamp", n, n, prior, dtype=complex)
+for _ in range(5):
+    state, _ = ut_amp_step(state, tm, prior)
+print(hashlib.sha256(state.x.tobytes()).hexdigest())
+"""
+
+
+def test_ut_step_iterate_does_not_depend_on_blas_threads():
+    # <lam_p, tau_s> summed by a threaded BLAS dot changes in its last bits
+    # with the thread count, and so would every later iterate
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True, text=True, env=env, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
