@@ -80,6 +80,12 @@ def _guarded_correction(x, tau_q, corr):
     return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
 
 
+def _adjoint_product(A, s):
+    # conj(A^T conj(s)) is A^H s without the copy that A.conj() makes of a
+    # complex A; for a real A it is the same product, bit for bit
+    return (A.T @ s.conj()).conj()
+
+
 def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, StepScratch]:
     """One iteration with per-element variances.
 
@@ -95,7 +101,7 @@ def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     col = model.abs2.T @ tau_s
     with np.errstate(divide="ignore"):
         tau_q = np.where(col > 0, 1.0 / np.where(col > 0, col, 1.0), np.inf)
-    q = _guarded_correction(state.x, tau_q, A.conj().T @ s)
+    q = _guarded_correction(state.x, tau_q, _adjoint_product(A, s))
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var, s=s, t=state.t + 1)
     return new, StepScratch(tau_p=tau_p, p=p, tau_s=tau_s, s=s, tau_q=tau_q, q=q)
@@ -113,7 +119,7 @@ def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     s = tau_s * (model.y - p)
     denom = model.frob2 / model.N * tau_s
     tau_q = 1.0 / denom if denom > 0 else np.inf
-    q = _guarded_correction(state.x, tau_q, A.conj().T @ s)
+    q = _guarded_correction(state.x, tau_q, _adjoint_product(A, s))
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var_scalar, s=s, t=state.t + 1)
     return new, StepScratch(tau_p=tau_p, p=p, tau_s=tau_s, s=s, tau_q=tau_q, q=q)

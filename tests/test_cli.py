@@ -360,6 +360,20 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]", out.stdout
 
 
+def test_small_circulant_solve_starts_no_fft_threads():
+    # N = 4096 stays on pocketfft: no executor, and concurrent.futures (about
+    # 6 ms to import) is never loaded
+    code = (
+        "import sys, utamp.cli\n"
+        "before = 'concurrent.futures' in sys.modules\n"
+        "code = utamp.cli.main(['solve', 'circulant', '4096', '4096', 'seed=2', '--seed', '2'])\n"
+        "print('RESULT', code, before, 'concurrent.futures' in sys.modules, utamp.model._pool)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "RESULT 0 False False None", out.stdout[-500:]
+
+
 def test_compare_needs_two_algorithms(capsys):
     assert main(["compare", "iid_gaussian", "8", "8", "--algorithms", "utamp"]) == 1
     capsys.readouterr()

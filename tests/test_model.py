@@ -1,3 +1,6 @@
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +26,7 @@ from utamp import (
     svd_factorize,
     unitary_transform,
 )
+from utamp import model as model_module
 from utamp.model import circulant_matrix
 
 
@@ -414,3 +418,142 @@ def test_model_and_svd_hold_float64_a_without_copying(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy_svd)
     svd_factorize(model.A)
     assert len(seen) == 1 and np.shares_memory(seen[0], A)
+
+
+def test_real_svd_factor_applies_complex_vectors_without_casting():
+    rng = np.random.default_rng(31)
+    fact = svd_factorize(rng.standard_normal((2000, 600)))
+    m, n = fact.shape
+    k = fact.lam.size
+    U, V = fact.U.astype(complex), fact.V.astype(complex)
+    cases = [
+        (fact._v, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: V @ x),
+        (fact._vh, rng.standard_normal(k) + 1j * rng.standard_normal(k), lambda z: V.conj().T @ z),
+        (fact._uh, rng.standard_normal(m) + 1j * rng.standard_normal(m), lambda y: U.conj().T @ y),
+        # its second product alone: the first is _v's
+        (fact.matvec, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: U @ (fact.lam * fact._v(x))),
+    ]
+    for apply, vec, cast_product in cases:
+        want = cast_product(vec)
+        tracemalloc.start()
+        try:
+            got = apply(vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), apply.__name__
+        # a complex cast of either factor alone takes twice its bytes, and
+        # V (600 x 600) is the smaller
+        assert peak < fact.V.nbytes / 4, f"{apply.__name__}: peak {peak} bytes"
+    x = rng.standard_normal(n)
+    assert fact._v(x).tobytes() == (fact.V @ x).tobytes()
+
+
+# ------------------------------------------------------------- FFT kernel
+
+# a power of two, a composite length and a prime (pocketfft's fallback), all
+# at or above the four-step threshold
+_KERNEL_LENGTHS = [2**18, 3 * 2**17, 65_537]
+
+
+@pytest.mark.parametrize("n", _KERNEL_LENGTHS)
+def test_fft_kernel_matches_numpy(n):
+    assert n >= model_module._FOUR_STEP_MIN
+    assert (model_module._four_step_plan(n) is None) == (n == 65_537)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for inverse, reference in [(False, np.fft.fft), (True, np.fft.ifft)]:
+        for norm in ("ortho", "backward"):
+            want = reference(x, norm=norm)
+            got = model_module._fft(x.copy(), inverse=inverse, norm=norm)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (inverse, norm)
+
+
+@pytest.mark.parametrize("n", _KERNEL_LENGTHS)
+def test_large_dft_applies_are_adjoint_and_keep_their_contract(n):
+    rng = np.random.default_rng(n + 1)
+    fact = circulant_factorize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    frozen = x.tobytes(), s.tobytes()
+    ax, ahs = fact.apply_av(x), fact.apply_avh(s)
+    assert (x.tobytes(), s.tobytes()) == frozen
+    assert not np.shares_memory(ax, x) and not np.shares_memory(ahs, s)
+    assert abs(np.vdot(s, ax) - np.vdot(ahs, x)) <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(ax)
+
+    # _v leaves its argument alone and returns a fresh array; _vh may
+    # overwrite its argument
+    for vec in (x, x.real.copy()):
+        frozen = vec.tobytes()
+        z = fact._v(vec)
+        assert vec.tobytes() == frozen and not np.shares_memory(z, vec)
+        assert np.max(np.abs(z - np.fft.fft(vec, norm="ortho"))) <= 1e-13 * np.max(np.abs(z))
+    z = s.copy()
+    back = fact._vh(z)
+    assert np.max(np.abs(back - np.fft.ifft(s, norm="ortho"))) <= 1e-13 * np.max(np.abs(back))
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_fft_kernel_does_not_depend_on_the_worker_count(monkeypatch, workers):
+    # every transform of a batch is computed whole by one thread, so the
+    # split changes no bit; 5 workers is more than this machine's cores
+    n = 3 * 2**17
+    x = np.random.default_rng(32).standard_normal(n) + 1j * np.random.default_rng(33).standard_normal(n)
+    results = {}
+    for count in (1, workers):
+        monkeypatch.setattr(model_module, "_fft_workers", lambda: count)
+        results[count] = [model_module._fft(x.copy(), inverse=inverse).tobytes() for inverse in (False, True)]
+    assert results[1] == results[workers]
+
+
+def test_fft_kernel_serves_concurrent_callers(monkeypatch):
+    monkeypatch.setattr(model_module, "_fft_workers", lambda: 3)
+    n = 2**16
+    rng = np.random.default_rng(34)
+    xs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(4)]
+    results = [[] for _ in xs]
+
+    def call(i):
+        for _ in range(5):
+            results[i].append(model_module._fft(xs[i].copy()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for x, got in zip(xs, results):
+        want = np.fft.fft(x, norm="ortho")
+        assert len(got) == 5
+        assert all(np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want)) for g in got)
+
+
+def _transform_in_forked_child():
+    n = 2**17
+    x = np.random.default_rng(35).standard_normal(n) + 0j
+    got = model_module._fft(x.copy())
+    if not np.max(np.abs(got - np.fft.fft(x, norm="ortho"))) <= 1e-13 * np.max(np.abs(got)):
+        raise SystemExit(1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+def test_fft_kernel_runs_in_a_forked_child(monkeypatch):
+    # the child inherits the parent's executor but none of its threads; a
+    # transform handed to that executor would never finish
+    monkeypatch.setattr(model_module, "_fft_workers", lambda: 2)
+    model_module._fft(np.ones(2**17, complex))
+    assert model_module._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_transform_in_forked_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's transform did not finish within 60 s")
+    assert child.exitcode == 0

@@ -31,6 +31,7 @@ from utamp import (
     variance_fixed_point,
     vector_amp_step,
 )
+from utamp import model as model_module
 
 
 def lmmse_oracle(A, y, sigma2, x0, tau0):
@@ -566,6 +567,14 @@ def test_denoisers_are_bit_identical_to_the_out_of_place_formulas(prior):
             assert out.var.tobytes() == np.broadcast_to(var, (64,)).astype(float).tobytes()
 
 
+def _reference_product(F, z):
+    # a real factor meets a complex vector as two real products, as it does
+    # in the library, where casting F to complex would copy it per call
+    if np.isrealobj(F) and np.iscomplexobj(z):
+        return F @ z.real + 1j * (F @ z.imag)
+    return F @ z
+
+
 def _reference_ut_step(state, tm, prior):
     # the step as it was before it built p, s and q in place, with fresh
     # temporaries, Lam^H formed per call and F^H applied as F.conj().T
@@ -573,7 +582,7 @@ def _reference_ut_step(state, tm, prior):
     dft = isinstance(fact, DftFactorization)
     tau_x = float(np.mean(state.tau_x))
     tau_p = tau_x * tm.lam_p
-    z = fact.lam * (np.fft.fft(state.x, norm="ortho") if dft else fact.V @ state.x)
+    z = fact.lam * (np.fft.fft(state.x, norm="ortho") if dft else _reference_product(fact.V, state.x))
     p = np.pad(z, (0, fact.M - z.size)) - tau_p * state.s
     tau_s = 1.0 / (tau_p + tm.sigma2)
     s = tau_s * (tm.r - p)
@@ -581,7 +590,7 @@ def _reference_ut_step(state, tm, prior):
     denom = float(np.einsum("i,i", tm.lam_p, tau_s))
     tau_q = tm.N / denom if denom > 0 else np.inf
     z = np.conj(fact.lam) * s[: fact.lam.size]
-    corr = np.fft.ifft(z, norm="ortho") if dft else fact.V.conj().T @ z
+    corr = np.fft.ifft(z, norm="ortho") if dft else _reference_product(fact.V.conj().T, z)
     q = state.x + tau_q * corr if np.isfinite(tau_q) else state.x + 0.0 * corr
     mean, var = _reference_denoise(q, tau_q, prior)
     return [mean, float(np.mean(var)), s, tau_p, p, tau_s, tau_q, q]
@@ -676,3 +685,43 @@ def test_ut_step_iterate_does_not_depend_on_blas_threads():
         out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True, text=True, env=env, check=True)
         digests.append(out.stdout.strip())
     assert digests[0] == digests[1]
+
+
+def test_ut_steps_on_the_four_step_fft_match_pocketfft(monkeypatch):
+    n = 2**18
+    assert n >= model_module._FOUR_STEP_MIN
+    rng = np.random.default_rng(27)
+    taps = rng.standard_normal(n) / np.sqrt(n)
+    prior = BernoulliGaussianPrior(rho=0.1)
+    y = np.fft.ifft(np.fft.fft(taps) * np.fft.fft(prior.sample(n, rng))).real + 0.03 * rng.standard_normal(n)
+
+    def iterate():
+        fact = circulant_factorize(taps)
+        tm = unitary_transform(LinearModel(fact, y, 1e-3), fact)
+        state = initial_state("utamp", n, n, prior, dtype=complex)
+        for _ in range(20):
+            state, _ = ut_amp_step(state, tm, prior)
+        return state.x
+
+    got = iterate()
+    monkeypatch.setattr(model_module, "_FOUR_STEP_MIN", 2**62)
+    want = iterate()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("algorithm", ["vector", "scalar"])
+def test_amp_step_does_not_copy_a_complex_a(algorithm):
+    rng = np.random.default_rng(28)
+    A = rng.standard_normal((800, 400)) + 1j * rng.standard_normal((800, 400))
+    model = LinearModel(A, rng.standard_normal(800) + 1j * rng.standard_normal(800), 0.1)
+    model.abs2, model.frob2  # cached on first read, as in run()
+    prior = GaussianPrior()
+    step = {"vector": vector_amp_step, "scalar": scalar_amp_step}[algorithm]
+    state, _ = step(initial_state(algorithm, 400, 800, prior, dtype=complex), model, prior)
+    tracemalloc.start()
+    try:
+        step(state, model, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes / 4, f"peak {peak / A.nbytes:.2f} x A's bytes"
