@@ -22,7 +22,6 @@ from utamp import (
     generate_matrix,
     initial_state,
     lmmse_solve,
-    svd_factorize,
     synthesize_instance,
     unitary_transform,
     ut_amp_step,
@@ -45,7 +44,7 @@ print()
 
 # predicted rate vs measured rate
 xstar = lmmse_solve(model, prior)
-tm = unitary_transform(model, svd_factorize(A))
+tm = unitary_transform(model)
 state = initial_state("utamp", model.N, model.M, prior)
 errs = []
 for _ in range(80):

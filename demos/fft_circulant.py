@@ -13,11 +13,11 @@ import numpy as np
 from utamp import (
     EnsembleSpec,
     GaussianPrior,
+    LinearModel,
     circulant_factorize,
     generate_matrix,
     initial_state,
     run,
-    svd_factorize,
     synthesize_instance,
     unitary_transform,
     ut_amp_step,
@@ -29,8 +29,10 @@ prior = GaussianPrior()
 A = generate_matrix(EnsembleSpec(kind="circulant", M=64, N=64, seed=5))
 model = synthesize_instance(A, prior, sigma2=0.02, seed=5)
 
-tm_fft = unitary_transform(model, circulant_factorize(A[:, 0]))
-tm_svd = unitary_transform(model, svd_factorize(A))
+# the same y on the DFT factorization of A's first column
+fft_model = LinearModel(circulant_factorize(A[:, 0]), model.y, model.sigma2)
+tm_fft = unitary_transform(fft_model)
+tm_svd = unitary_transform(model)
 s_fft = initial_state("utamp", 64, 64, prior, dtype=complex)
 s_svd = initial_state("utamp", 64, 64, prior)
 worst = 0.0
@@ -54,14 +56,13 @@ model_big = synthesize_instance(A_big, prior, sigma2=0.01, seed=1)
 BUDGET = 200
 
 t0 = time.perf_counter()
-fact_fft = circulant_factorize(taps)
-state, trace = run("utamp", model_big, prior, fact=fact_fft, max_iters=BUDGET)
+fft_model_big = LinearModel(circulant_factorize(taps), model_big.y, model_big.sigma2)
+state, trace = run("utamp", fft_model_big, prior, max_iters=BUDGET)
 t_fft = time.perf_counter() - t0
 print(f"N = {n} circulant, FFT factorization:   {BUDGET}-step budget in {t_fft:7.3f} s")
 
 t0 = time.perf_counter()
-fact_svd = svd_factorize(A_big)
-state2, trace2 = run("utamp", model_big, prior, fact=fact_svd, max_iters=BUDGET)
+state2, trace2 = run("utamp", model_big, prior, max_iters=BUDGET)  # thin SVD of A_big on first use
 t_svd = time.perf_counter() - t0
 print(f"N = {n} circulant, dense SVD route:     {BUDGET}-step budget in {t_svd:7.3f} s")
 print(f"same answer to {np.max(np.abs(state.x - state2.x)):.2e}, speedup x{t_svd / t_fft:.0f}")

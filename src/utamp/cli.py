@@ -32,7 +32,7 @@ import numpy as np
 from .denoisers import BernoulliGaussianPrior, GaussianPrior
 from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_matrix, synthesize_instance
 from .matrixio import load_matrix, load_vector, save_matrix
-from .model import FactorizationError, LinearModel, circulant_factorize, svd_factorize, unitary_transform
+from .model import FactorizationError, LinearModel, circulant_factorize
 from .solvers import lmmse_transformed, run
 from .spectral import UnsupportedPriorError, certify, format_radius
 
@@ -144,42 +144,39 @@ def _is_circulant(A: np.ndarray) -> bool:
     return all(np.allclose(A[i], np.roll(A[0], i), rtol=1e-10, atol=1e-12) for i in range(1, A.shape[0]))
 
 
-def _load_operator(args):
-    """Return (A, label): A is the dense matrix of --matrix or of an ensemble.
+def _load_operator(args, prior):
+    """Return (A, label): A is the DFT factorization of a circulant input,
+    else the dense matrix of --matrix or of an ensemble.
 
-    A circulant ensemble is circulant by construction, so unless
-    --factorization svd asks for a dense SVD, A is its DFT factorization and
-    no N x N array is formed.
+    A circulant ensemble is circulant by construction, and a square dense A
+    is checked once; unless --factorization svd asks for a dense SVD, either
+    becomes the DFT factorization of its first column, and a circulant
+    ensemble forms no N x N array.  A complex A makes the prior complex.
     """
+    choice = getattr(args, "factorization", "auto")
     if args.matrix is not None:
         if args.ensemble:
             raise CliError("give either --matrix or an ensemble description, not both")
-        return load_matrix(args.matrix), f"file:{args.matrix}"
-    if not args.ensemble:
+        A, label = load_matrix(args.matrix), f"file:{args.matrix}"
+    elif not args.ensemble:
         raise CliError("need a problem: either --matrix FILE or an ensemble description (KIND M N ...)")
-    spec = parse_ensemble(args.ensemble)
-    if spec.kind == "circulant" and getattr(args, "factorization", "auto") != "svd":
-        return circulant_factorize(circulant_taps(spec)), spec.kind
-    return generate_matrix(spec), spec.kind
-
-
-def _factorize(A, choice):
-    """The unitary transform of A: the DFT when a square dense A is circulant
-    (checked once, under auto and dft), the SVD otherwise."""
-    if not isinstance(A, np.ndarray):
-        return A
+    else:
+        spec = parse_ensemble(args.ensemble)
+        if spec.kind == "circulant" and choice != "svd":
+            return circulant_factorize(circulant_taps(spec)), spec.kind
+        A, label = generate_matrix(spec), spec.kind
+    if np.iscomplexobj(A):
+        prior.complex_valued = True
     if choice != "svd" and A.shape[0] == A.shape[1] and _is_circulant(A):
-        return circulant_factorize(A[:, 0])
+        return circulant_factorize(A[:, 0]), label
     if choice == "dft":
         raise CliError("--factorization dft needs a circulant matrix (first column must generate it)")
-    return svd_factorize(A)
+    return A, label
 
 
 def _resolve_problem(args, prior):
-    """Build (model, fact, label): the problem, its transform and its name."""
-    A, label = _load_operator(args)
-    if isinstance(A, np.ndarray) and np.iscomplexobj(A):
-        prior.complex_valued = True
+    """Build (model, label): the problem and its name."""
+    A, label = _load_operator(args, prior)
     if args.observations:
         y = load_vector(args.observations)
         if y.shape[0] != A.shape[0]:
@@ -187,7 +184,7 @@ def _resolve_problem(args, prior):
         model = LinearModel(A=A, y=y, sigma2=args.sigma2, x_true=None)
     else:
         model = synthesize_instance(A, prior, sigma2=args.sigma2, seed=args.seed)
-    return model, _factorize(A, args.factorization), label
+    return model, label
 
 
 def _parse_algorithms(text: str) -> list[str]:
@@ -215,20 +212,13 @@ def _nmse_db(x, x_true):
     return 10.0 * np.log10(max(num / den, 1e-300))
 
 
-def _run_algorithms(model, fact, prior, names, args, out_dir):
-    xstar = lmmse_transformed(unitary_transform(model, fact), prior) if isinstance(prior, GaussianPrior) else None
+def _run_algorithms(model, prior, names, args, out_dir):
+    xstar = lmmse_transformed(model, prior) if isinstance(prior, GaussianPrior) else None
     rows = []
     for name in names:
         kernel = _ALGO_NAMES[name]
         t0 = time.perf_counter()
-        state, trace = run(
-            kernel,
-            model,
-            prior,
-            fact=fact if kernel == "utamp" else None,
-            max_iters=args.max_iters,
-            x_tol=args.x_tol,
-        )
+        state, trace = run(kernel, model, prior, max_iters=args.max_iters, x_tol=args.x_tol)
         elapsed = time.perf_counter() - t0
         finite = bool(np.all(np.isfinite(state.x)))
         row = {
@@ -276,16 +266,16 @@ def cmd_gen(args) -> int:
 def _solve(args, names, compare):
     """The shared body of solve and compare; exit 2 unless some solver converged."""
     prior = parse_prior(args.prior)
-    model, fact, label = _resolve_problem(args, prior)
+    model, label = _resolve_problem(args, prior)
     out_dir = None
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     print(f"problem: {label}, {model.M} x {model.N}, sigma2 = {model.sigma2:.6g}")
-    rows = _run_algorithms(model, fact, prior, names, args, out_dir)
+    rows = _run_algorithms(model, prior, names, args, out_dir)
     _print_rows(rows)
     if compare and isinstance(prior, GaussianPrior) and "utamp" in names:
-        cert = certify(fact, prior, sigma2=model.sigma2)
+        cert = certify(model, prior)
         verdict = "contractive" if cert.converges else "NOT contractive"
         if not cert.fixed_point.converged:
             verdict += ": stepsize fixed point did not converge"
@@ -311,8 +301,8 @@ def cmd_certify(args) -> int:
     prior = parse_prior(args.prior)
     if not isinstance(prior, GaussianPrior):
         raise CliError("certification needs a Gaussian prior (--prior gauss[:mean=..,var=..])")
-    A, _ = _load_operator(args)
-    cert = certify(_factorize(A, "auto"), prior, sigma2=args.sigma2, check_numeric=args.check_numeric)
+    A, _ = _load_operator(args, prior)
+    cert = certify(A, prior, sigma2=args.sigma2, check_numeric=args.check_numeric)
     report = cert.report()
     print(report)
     if args.out:

@@ -88,10 +88,6 @@ class GaussianPrior:
         if np.iscomplexobj(self.x0):
             self.complex_valued = True
 
-    @classmethod
-    def iid(cls, mean=0.0, var=1.0, complex_valued=False):
-        return cls(x0=mean, tau0=var, complex_valued=complex_valued)
-
     def mean_vector(self, n: int) -> np.ndarray:
         return np.broadcast_to(self.x0, (n,)).astype(self.x0.dtype, copy=True)
 

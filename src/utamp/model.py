@@ -166,12 +166,13 @@ def _executor():
 class LinearModel:
     """Immutable-by-convention container for one inverse problem instance.
 
-    A is a dense matrix or a Factorization of it.  A model that holds a
-    factorization is matrix-free: ``fact`` is reused by the transform-domain
-    solver and the certificate, and the dense ``A`` (with ``abs2`` and
-    ``frob2``) is built on first read, for the consumers that need it (the
-    AMP baselines and the dense ``lmmse_solve``).  ``fact`` is None for a
-    dense model.
+    A is a dense matrix or a Factorization of it.  ``fact`` is the one
+    factorization of the problem, read by the transform-domain solver, the
+    LMMSE oracle and the certificate: the one the model was built on, or a
+    thin SVD of a dense A on first read.  A model built on a factorization
+    is matrix-free: the dense ``A`` (with ``abs2`` and ``frob2``) is built
+    on first read, for the consumers that need it (the AMP baselines and the
+    dense ``lmmse_solve``).
 
     x_true is optional; when present it enables error tracking but is never
     read by the solver steps themselves.  Non-finite entries are rejected.
@@ -180,8 +181,8 @@ class LinearModel:
     """
 
     def __init__(self, A, y, sigma2: float, x_true=None):
-        self.fact = A if isinstance(A, Factorization) else None
-        if self.fact is not None:
+        if isinstance(A, Factorization):
+            self.fact = A
             _finite(A.lam, "A")
         else:
             A = _as_float_or_complex(A)
@@ -209,6 +210,12 @@ class LinearModel:
     @property
     def N(self) -> int:
         return self.shape[1]
+
+    @cached_property
+    def fact(self) -> Factorization:
+        """The factorization the model was built on, else a thin SVD of A,
+        computed on first read."""
+        return svd_factorize(self.A)
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -394,15 +401,15 @@ class TransformedModel:
         return self.fact.N
 
 
-def unitary_transform(model: LinearModel, fact: Factorization) -> TransformedModel:
-    """Precompute everything the transform-domain solver needs.
+def unitary_transform(model: LinearModel) -> TransformedModel:
+    """Precompute everything the transform-domain solver needs, on the
+    model's factorization.
 
     r = U^H y (length M) for U_k completed by the normalized part of y
     outside its range: r[:k] = U_k^H y, r[k] = ||y - U_k U_k^H y|| when
     M > k, zeros after.  So ||r - Lam V x|| = ||y - A x|| for every x.
     """
-    if fact.shape != (model.M, model.N):
-        raise ValueError(f"factorization shape {fact.shape} does not match model ({model.M}, {model.N})")
+    fact = model.fact
     k = min(fact.shape)
     r = np.pad(fact.apply_uh(model.y), (0, fact.M - k))
     if fact.M > k:

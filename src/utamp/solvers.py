@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import GaussianPrior
-from .model import Factorization, LinearModel, TransformedModel, svd_factorize, unitary_transform
+from .model import LinearModel, TransformedModel, _matmul, unitary_transform
 
 __all__ = [
     "ALGORITHMS",
@@ -83,7 +83,7 @@ def _guarded_correction(x, tau_q, corr):
 def _adjoint_product(A, s):
     # conj(A^T conj(s)) is A^H s without the copy that A.conj() makes of a
     # complex A; for a real A it is the same product, bit for bit
-    return (A.T @ s.conj()).conj()
+    return _matmul(A.T, s.conj()).conj()
 
 
 def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, StepScratch]:
@@ -95,7 +95,7 @@ def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     """
     A = model.A
     tau_p = model.abs2 @ np.asarray(state.tau_x, dtype=float)
-    p = A @ state.x - tau_p * state.s
+    p = _matmul(A, state.x) - tau_p * state.s
     tau_s = 1.0 / (tau_p + model.sigma2)
     s = tau_s * (model.y - p)
     col = model.abs2.T @ tau_s
@@ -114,7 +114,7 @@ def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     A = model.A
     tau_x = float(np.mean(state.tau_x))
     tau_p = model.frob2 / model.M * tau_x
-    p = A @ state.x - tau_p * state.s
+    p = _matmul(A, state.x) - tau_p * state.s
     tau_s = 1.0 / (tau_p + model.sigma2)
     s = tau_s * (model.y - p)
     denom = model.frob2 / model.N * tau_s
@@ -220,7 +220,6 @@ def run(
     algorithm: str,
     model: LinearModel,
     prior,
-    fact: Factorization | None = None,
     *,
     max_iters: int = 1000,
     x_tol: float = 1e-10,
@@ -228,8 +227,7 @@ def run(
 ) -> tuple[SolverState, Trace]:
     """Drive one of the three kernels to termination.
 
-    utamp uses fact when given, else the model's own factorization, else a
-    thin SVD of model.A.
+    utamp iterates on the model's factorization (model.fact).
 
     Stops when the relative change of x drops to x_tol (converged), after
     max_iters iterations (max_iters), or when the estimate blows past
@@ -244,15 +242,12 @@ def run(
         raise ValueError(f"x_tol must be positive, got {x_tol}")
 
     if algorithm == "utamp":
-        if fact is None:
-            fact = model.fact if model.fact is not None else svd_factorize(model.A)
-        tmodel = unitary_transform(model, fact)
-        problem = tmodel
+        problem = tmodel = unitary_transform(model)
         dtype = np.result_type(tmodel.r.dtype, float)
         step = ut_amp_step
 
         def residual(x):
-            return float(np.linalg.norm(tmodel.r - fact.apply_av(x)))
+            return float(np.linalg.norm(tmodel.r - tmodel.fact.apply_av(x)))
 
     else:
         problem = model
@@ -260,7 +255,7 @@ def run(
         step = vector_amp_step if algorithm == "vector" else scalar_amp_step
 
         def residual(x):
-            return float(np.linalg.norm(model.y - model.A @ x))
+            return float(np.linalg.norm(model.y - _matmul(model.A, x)))
 
     state = initial_state(algorithm, model.N, model.M, prior, dtype=dtype)
     trace = Trace()
@@ -323,8 +318,9 @@ def lmmse_solve(model: LinearModel, prior: GaussianPrior) -> np.ndarray:
     return np.linalg.solve(lhs, rhs)
 
 
-def lmmse_transformed(tmodel: TransformedModel, prior: GaussianPrior) -> np.ndarray:
-    """Gaussian posterior mean in transform coordinates, for a scalar tau0.
+def lmmse_transformed(model: LinearModel, prior: GaussianPrior) -> np.ndarray:
+    """Gaussian posterior mean in transform coordinates, for a scalar tau0,
+    on the model's factorization.
 
     With A = U Lam V the posterior mean x0 + tau0 A^H (tau0 A A^H +
     sigma2 I)^{-1} (y - A x0) becomes a diagonal solve,
@@ -336,6 +332,7 @@ def lmmse_transformed(tmodel: TransformedModel, prior: GaussianPrior) -> np.ndar
         raise TypeError("lmmse_transformed needs a Gaussian prior")
     if prior.tau0.ndim != 0:
         raise ValueError("lmmse_transformed needs a scalar prior variance; use lmmse_solve")
+    tmodel = unitary_transform(model)
     fact, tau0 = tmodel.fact, float(prior.tau0)
     x0 = prior.mean_vector(tmodel.N)
     return x0 + tau0 * fact.apply_avh((tmodel.r - fact.apply_av(x0)) / (tau0 * tmodel.lam_p + tmodel.sigma2))

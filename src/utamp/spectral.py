@@ -265,18 +265,18 @@ def certify(
 ) -> ConvergenceCertificate:
     """Build the convergence certificate for a matrix.
 
-    target may be a model (its noise variance is used unless sigma2
-    overrides it, and its factorization if it holds one), a factorization,
-    or a raw matrix; the latter two require sigma2.  check_numeric
-    additionally eigendecomposes the dense iteration matrix and records the
-    worst matched eigenvalue discrepancy.
+    target may be a model (its factorization, and its noise variance
+    unless sigma2 overrides it), a factorization, or a raw matrix (thin
+    SVD); the latter two require sigma2.  check_numeric additionally
+    eigendecomposes the dense iteration matrix and records the worst
+    matched eigenvalue discrepancy.
     """
     if not isinstance(prior, GaussianPrior):
         raise UnsupportedPriorError(
             f"certification covers Gaussian priors only, got {type(prior).__name__}"
         )
     if isinstance(target, LinearModel):
-        fact = target.fact if target.fact is not None else svd_factorize(target.A)
+        fact = target.fact
         if sigma2 is None:
             sigma2 = target.sigma2
     elif isinstance(target, Factorization):

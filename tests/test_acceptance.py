@@ -162,7 +162,7 @@ def test_criterion_3_error_contracts_at_certified_rate():
         model = make_instance(kind, m, n, seed, sigma2, kw, prior)
         cert = certify(model, prior)
         xstar = lmmse_oracle(model.A, model.y, sigma2, np.zeros(n), np.ones(n))
-        tm = unitary_transform(model, svd_factorize(model.A))
+        tm = unitary_transform(model)
         state = initial_state("utamp", n, m, prior)
         errs = []
         for _ in range(120):
@@ -211,8 +211,9 @@ def test_criterion_5_circulant_fft_route_equals_dense_route():
     A = generate_matrix(EnsembleSpec(kind="circulant", M=64, N=64, seed=5))
     model = synthesize_instance(A, prior, sigma2=0.02, seed=5)
 
-    tm_fft = unitary_transform(model, circulant_factorize(A[:, 0]))
-    tm_svd = unitary_transform(model, svd_factorize(A))
+    fft_model = LinearModel(circulant_factorize(A[:, 0]), model.y, model.sigma2, model.x_true)
+    tm_fft = unitary_transform(fft_model)
+    tm_svd = unitary_transform(model)
     s_fft = initial_state("utamp", 64, 64, prior, dtype=complex)
     s_svd = initial_state("utamp", 64, 64, prior)
     worst = 0.0
@@ -223,7 +224,7 @@ def test_criterion_5_circulant_fft_route_equals_dense_route():
     assert worst <= 1e-10, f"route divergence {worst:.2e}"
 
     xstar = lmmse_oracle(A, model.y, 0.02, np.zeros(64), np.ones(64))
-    state, trace = run("utamp", model, prior, fact=circulant_factorize(A[:, 0]), max_iters=500, x_tol=1e-12)
+    state, trace = run("utamp", fft_model, prior, max_iters=500, x_tol=1e-12)
     gap = float(np.max(np.abs(state.x - xstar)))
     assert trace.status == "converged" and gap <= 1e-6, f"fft route gap {gap:.2e}"
     print(f"\nPASS criterion 5: FFT route matches dense route to {worst:.2e} (<= 1e-10), posterior gap {gap:.2e} (<= 1e-6)")

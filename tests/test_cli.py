@@ -178,10 +178,51 @@ def test_circulant_matrix_file_takes_fft_route_by_default(tmp_path, capsys, monk
     def no_svd(*args, **kwargs):
         raise AssertionError("a circulant file must not be factorized by SVD")
 
-    monkeypatch.setattr(cli, "svd_factorize", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert main([command, "--matrix", str(tmp_path / "A.txt")]) == 0
     assert calls == [(16, 16)], f"_is_circulant ran {len(calls)} times"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("prior", ["gauss", "bg:rho=0.2"])
+def test_circulant_file_and_ensemble_write_identical_traces(tmp_path, capsys, prior):
+    # both are built on the DFT factorization of the same first column, so
+    # the signal, the noise and every iterate agree bit for bit
+    save_matrix(tmp_path / "A.txt", generate_matrix(EnsembleSpec(kind="circulant", M=24, N=24, seed=7)))
+    common = ["--algorithms", "all", "--prior", prior, "--max-iters", "40", "--out"]
+    assert main(["solve", "circulant", "24", "24", "seed=7", *common, str(tmp_path / "ens")]) in (0, 2)
+    assert main(["solve", "--matrix", str(tmp_path / "A.txt"), *common, str(tmp_path / "file")]) in (0, 2)
+    for name in ("utamp", "amp-vec", "amp-scalar"):
+        ens = (tmp_path / "ens" / f"trace_{name}.csv").read_bytes()
+        assert (tmp_path / "file" / f"trace_{name}.csv").read_bytes() == ens, name
+    capsys.readouterr()
+
+
+def test_complex_circulant_file_gets_a_complex_prior(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(9)
+    c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    save_matrix(tmp_path / "A.txt", c[(np.arange(12)[:, None] - np.arange(12)[None, :]) % 12])
+    seen = []
+    real_synthesize = cli.synthesize_instance
+
+    def spy(A, prior, **kw):
+        seen.append((A, prior.complex_valued))
+        return real_synthesize(A, prior, **kw)
+
+    monkeypatch.setattr(cli, "synthesize_instance", spy)
+    assert main(["solve", "--matrix", str(tmp_path / "A.txt"), "--prior", "bg:rho=0.3", "--max-iters", "20"]) in (0, 2)
+    [(A, complex_prior)] = seen
+    assert isinstance(A, DftFactorization) and complex_prior
+    capsys.readouterr()
+
+
+def test_amp_baseline_solve_with_a_bg_prior_factorizes_nothing(capsys, monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a[0].shape) or real_svd(*a, **kw))
+    code = main(["solve", "iid_gaussian", "80", "60", "--algorithms", "amp-vec", "--prior", "bg:rho=0.1"])
+    assert code in (0, 2) and "amp-vec" in capsys.readouterr().out
+    assert calls == [], "no solver of this run reads a factorization"
 
 
 def test_square_non_circulant_file_keeps_the_svd_route(tmp_path, capsys, monkeypatch):

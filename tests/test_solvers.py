@@ -112,8 +112,8 @@ def test_ut_step_matches_manual_computation():
         A = rng.standard_normal((m, n))
         prior = GaussianPrior(tau0=2.0)
         model = LinearModel(A, rng.standard_normal(m), 0.4)
-        fact = svd_factorize(A)
-        tm = unitary_transform(model, fact)
+        tm = unitary_transform(model)
+        fact = model.fact
         state = initial_state("utamp", n, m, prior)
         state.x = rng.standard_normal(n)
         state.s = rng.standard_normal(m)
@@ -160,8 +160,8 @@ def test_ut_step_dft_equals_svd_route():
     prior = GaussianPrior()
     model = synthesize_instance(A, prior, sigma2=0.1, seed=4)
 
-    td = unitary_transform(model, circulant_factorize(c))
-    ts = unitary_transform(model, svd_factorize(A))
+    td = unitary_transform(LinearModel(circulant_factorize(c), model.y, model.sigma2))
+    ts = unitary_transform(model)
     sd = initial_state("utamp", 16, 16, prior, dtype=complex)
     ss = initial_state("utamp", 16, 16, prior)
     for _ in range(10):
@@ -231,7 +231,7 @@ def test_utamp_matches_full_svd_oracle(case):
         lam_p=np.sum(full.lam_full**2, axis=1),
     )
     want, want_status = _ut_iterates(oracle, model, prior, max_iters=500, x_tol=1e-12)
-    thin = unitary_transform(model, svd_factorize(model.A))
+    thin = unitary_transform(model)
     got, got_status = _ut_iterates(thin, model, prior, max_iters=500, x_tol=1e-12)
 
     assert want_status == got_status == "converged"
@@ -247,23 +247,23 @@ def test_utamp_matches_full_svd_oracle(case):
 
 
 def test_matrix_free_circulant_matches_dense_model():
-    # the model holding only the DFT factorization against a dense model of
-    # the same draw solved with an explicit FFT factorization
+    # the model synthesized matrix-free against the dense draw's y on the
+    # FFT factorization of the dense A's first column
     spec = EnsembleSpec(kind="circulant", M=48, N=48, seed=11)
     prior = GaussianPrior(x0=0.3, tau0=2.0)
     free = synthesize_instance(circulant_factorize(circulant_taps(spec)), prior, sigma2=0.02, seed=4)
     A = generate_matrix(spec)
-    dense = synthesize_instance(A, prior, sigma2=0.02, seed=4)
-    fact = circulant_factorize(A[:, 0])
+    drawn = synthesize_instance(A, prior, sigma2=0.02, seed=4)
+    dense = LinearModel(circulant_factorize(A[:, 0]), drawn.y, drawn.sigma2, drawn.x_true)
 
-    got, got_status = _ut_iterates(unitary_transform(free, free.fact), free, prior, 500, 1e-12)
-    want, want_status = _ut_iterates(unitary_transform(dense, fact), dense, prior, 500, 1e-12)
+    got, got_status = _ut_iterates(unitary_transform(free), free, prior, 500, 1e-12)
+    want, want_status = _ut_iterates(unitary_transform(dense), dense, prior, 500, 1e-12)
     assert got_status == want_status == "converged" and len(got) == len(want)
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
     assert worst <= 1e-12, f"iterates differ by {worst:.2e}"
 
     s_free, t_free = run("utamp", free, prior, max_iters=500, x_tol=1e-12)
-    s_dense, t_dense = run("utamp", dense, prior, fact=fact, max_iters=500, x_tol=1e-12)
+    s_dense, t_dense = run("utamp", dense, prior, max_iters=500, x_tol=1e-12)
     assert t_free.status == t_dense.status == "converged" and s_free.t == s_dense.t == len(got) - 1
     assert np.max(np.abs(s_free.x - s_dense.x)) <= 1e-12
     assert np.allclose(t_free.column("residual"), t_dense.column("residual"), rtol=1e-12, atol=1e-14)
@@ -288,6 +288,24 @@ def test_run_and_certify_reuse_the_model_factorization(monkeypatch):
     assert abs(cert.spectral_radius - want.spectral_radius) <= 1e-12
 
 
+def test_a_dense_model_is_factorized_once(monkeypatch):
+    # the certificate, two utamp runs and the transform-coordinate oracle
+    # share the model's one thin SVD
+    prior = GaussianPrior()
+    A = generate_matrix(EnsembleSpec(kind="column_correlated", M=60, N=40, seed=3))
+    model = synthesize_instance(A, prior, sigma2=0.05, seed=3)
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a[0].shape) or real_svd(*a, **kw))
+    cert = certify(model, prior)
+    first, _ = run("utamp", model, prior, max_iters=30)
+    second, _ = run("utamp", model, prior, max_iters=30)
+    xstar = lmmse_transformed(model, prior)
+    assert calls == [(60, 40)], f"{len(calls)} SVDs of one model"
+    assert cert.converges and np.array_equal(first.x, second.x)
+    assert np.max(np.abs(xstar - lmmse_solve(model, prior))) <= 1e-10
+
+
 def _lmmse_case(name):
     if name == "circulant":
         fact = circulant_factorize(circulant_taps(EnsembleSpec(kind="circulant", M=40, N=40, seed=6)))
@@ -301,8 +319,7 @@ def _lmmse_case(name):
 @pytest.mark.parametrize("case", ["tall", "wide", "square", "rank_deficient", "ill_conditioned", "complex", "circulant"])
 def test_transform_coordinate_oracle_matches_dense_lmmse(case):
     model, prior = _lmmse_case(case)
-    fact = model.fact if model.fact is not None else svd_factorize(model.A)
-    got = lmmse_transformed(unitary_transform(model, fact), prior)
+    got = lmmse_transformed(model, prior)
     want = lmmse_solve(model, prior)
     gap = float(np.max(np.abs(got - want)))
     assert gap <= 1e-10, f"{case}: transform-coordinate oracle differs by {gap:.2e}"
@@ -310,11 +327,10 @@ def test_transform_coordinate_oracle_matches_dense_lmmse(case):
 
 def test_transform_coordinate_oracle_needs_scalar_gaussian_prior():
     model, _ = _oracle_case("tall")
-    tm = unitary_transform(model, svd_factorize(model.A))
     with pytest.raises(ValueError):
-        lmmse_transformed(tm, GaussianPrior(tau0=np.linspace(0.5, 2.0, model.N)))
+        lmmse_transformed(model, GaussianPrior(tau0=np.linspace(0.5, 2.0, model.N)))
     with pytest.raises(TypeError):
-        lmmse_transformed(tm, BernoulliGaussianPrior(rho=0.5))
+        lmmse_transformed(model, BernoulliGaussianPrior(rho=0.5))
 
 
 # ---------------------------------------------------------------- run loop
@@ -390,7 +406,7 @@ def test_identity_matrix_hits_posterior_within_three_iterations():
     prior = GaussianPrior()
     model = synthesize_instance(np.eye(16), prior, sigma2=0.5, seed=3)
     xstar = lmmse_oracle(np.eye(16), model.y, 0.5, np.zeros(16), np.ones(16))
-    tm = unitary_transform(model, svd_factorize(np.eye(16)))
+    tm = unitary_transform(model)
     state = initial_state("utamp", 16, 16, prior)
     errs = []
     for _ in range(3):
@@ -403,8 +419,8 @@ def test_ut_amp_tau_x_converges_to_fixed_point():
     prior = GaussianPrior()
     A = generate_matrix(EnsembleSpec(kind="ill_conditioned", M=32, N=24, seed=5))
     model = synthesize_instance(A, prior, sigma2=0.1, seed=5)
-    fact = svd_factorize(A)
-    state, trace = run("utamp", model, prior, fact=fact, max_iters=300, x_tol=1e-13)
+    state, trace = run("utamp", model, prior, max_iters=300, x_tol=1e-13)
+    fact = model.fact
     fp = variance_fixed_point(fact.lam, 0.1, prior, (32, 24))
     assert np.isclose(state.tau_x, fp.tau_x, atol=1e-10)
     assert np.isclose(trace.last()["tau_q"], fp.tau_q, atol=1e-8)
@@ -511,7 +527,7 @@ def test_applies_and_step_leave_their_inputs_unchanged(name):
         assert _frozen(x, s, y) == before
 
     prior = BernoulliGaussianPrior(rho=0.3)
-    tm = unitary_transform(LinearModel(fact, rng.standard_normal(m), 0.1), fact)
+    tm = unitary_transform(LinearModel(fact, rng.standard_normal(m), 0.1))
     state = initial_state("utamp", n, m, prior, dtype=tm.r.dtype)
     for _ in range(3):
         before = _frozen(state.x, state.s, tm.r, tm.lam_p)
@@ -622,7 +638,7 @@ def test_ut_step_is_bit_identical_to_the_out_of_place_step(case):
     m, n = fact.shape
     rng = np.random.default_rng(24)
     y = rng.standard_normal(m) if y is None else y
-    tm = unitary_transform(LinearModel(fact, y, 0.05), fact)
+    tm = unitary_transform(LinearModel(fact, y, 0.05))
     state = initial_state("utamp", n, m, prior, dtype=dtype)
     for _ in range(4):
         want = _reference_ut_step(state, tm, prior)
@@ -648,7 +664,7 @@ def test_ut_step_allocates_little_beyond_what_it_returns():
     fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
     prior = BernoulliGaussianPrior(rho=0.1)
     y = fact.matvec(prior.sample(n, rng)) + 0.03 * rng.standard_normal(n)
-    tm = unitary_transform(LinearModel(fact, y, 1e-3), fact)
+    tm = unitary_transform(LinearModel(fact, y, 1e-3))
     state, _ = ut_amp_step(initial_state("utamp", n, n, prior, dtype=complex), tm, prior)
     tracemalloc.start()
     try:
@@ -668,7 +684,7 @@ rng = np.random.default_rng(5)
 fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
 prior = BernoulliGaussianPrior(rho=0.1)
 y = fact.matvec(prior.sample(n, rng)) + 0.03 * rng.standard_normal(n)
-tm = unitary_transform(LinearModel(fact, y, 1e-3), fact)
+tm = unitary_transform(LinearModel(fact, y, 1e-3))
 state = initial_state("utamp", n, n, prior, dtype=complex)
 for _ in range(5):
     state, _ = ut_amp_step(state, tm, prior)
@@ -697,7 +713,7 @@ def test_ut_steps_on_the_four_step_fft_match_pocketfft(monkeypatch):
 
     def iterate():
         fact = circulant_factorize(taps)
-        tm = unitary_transform(LinearModel(fact, y, 1e-3), fact)
+        tm = unitary_transform(LinearModel(fact, y, 1e-3))
         state = initial_state("utamp", n, n, prior, dtype=complex)
         for _ in range(20):
             state, _ = ut_amp_step(state, tm, prior)
@@ -709,10 +725,23 @@ def test_ut_steps_on_the_four_step_fft_match_pocketfft(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("algorithm", ["vector", "scalar"])
-def test_amp_step_does_not_copy_a_complex_a(algorithm):
+# (kernel, dtype of A): a complex A must not be conjugated into a copy, and a
+# real A meeting a complex y must not be cast to complex128
+_AMP_COPY_CASES = {
+    "vector": ("vector", complex),
+    "scalar": ("scalar", complex),
+    "vector-real_a_complex_y": ("vector", float),
+    "scalar-real_a_complex_y": ("scalar", float),
+}
+
+
+@pytest.mark.parametrize("case", list(_AMP_COPY_CASES))
+def test_amp_step_does_not_copy_a_complex_a(case):
+    algorithm, a_dtype = _AMP_COPY_CASES[case]
     rng = np.random.default_rng(28)
-    A = rng.standard_normal((800, 400)) + 1j * rng.standard_normal((800, 400))
+    A = rng.standard_normal((800, 400))
+    if a_dtype is complex:
+        A = A + 1j * rng.standard_normal((800, 400))
     model = LinearModel(A, rng.standard_normal(800) + 1j * rng.standard_normal(800), 0.1)
     model.abs2, model.frob2  # cached on first read, as in run()
     prior = GaussianPrior()
