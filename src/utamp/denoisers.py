@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import _blockwise
+
 __all__ = [
     "GaussianPrior",
     "BernoulliGaussianPrior",
@@ -53,18 +55,17 @@ def _check_tau_q(tau_q, n):
     return tau_q
 
 
-def _conjugate(q, tau_q, x0, tau0):
-    """Posterior of x ~ N(x0, tau0) given q = x + N(0, tau_q): the mean and
-    the shrink factor (posterior over prior variance), each broadcast from
-    the inputs, so scalar tau_q and tau0 give a scalar shrink.  tau_q = inf
-    gives back the prior (shrink 1) per element."""
+def _conjugate(tau_q, tau0):
+    """Gain and shrink factor (posterior over prior variance) of the
+    posterior of x ~ N(x0, tau0) given q = x + N(0, tau_q): its mean is
+    gain q + shrink x0 (the product taken in the mean's dtype) and its
+    variance tau0 shrink.  Scalar tau_q and tau0 give scalars; tau_q = inf
+    gives back the prior (gain 0, shrink 1) per element."""
     finite = np.isfinite(tau_q)
     tq = np.where(finite, tau_q, 1.0)
     gain = np.where(finite, tau0 / (tau0 + tq), 0.0)
     shrink = np.where(finite, tq / (tau0 + tq), 1.0)
-    mean = np.multiply(gain, q, dtype=np.result_type(gain, q, shrink, x0))
-    mean += shrink * x0
-    return mean, shrink
+    return gain, shrink
 
 
 @dataclass(eq=False)
@@ -111,9 +112,21 @@ def gaussian_denoise(q, tau_q, prior: GaussianPrior) -> DenoiserOutput:
     tau0 tau_q / (tau0 + tau_q)."""
     q = np.asarray(q)
     n = q.shape[0]
-    mean, shrink = _conjugate(q, _check_tau_q(tau_q, n), prior.x0, prior.tau0)
-    var = prior.tau0 * shrink
-    return DenoiserOutput(mean=mean, var=var if np.ndim(var) else np.full(n, var))
+    tau_q = _check_tau_q(tau_q, n)
+    x0, tau0 = prior.x0, prior.tau0
+    out = DenoiserOutput(mean=np.empty(n, np.result_type(q, x0, np.float64)), var=np.empty(n))
+    scalar = _conjugate(tau_q, tau0) if tau_q.ndim == tau0.ndim == 0 else None
+
+    def block(b):
+        tau_q_b, x0_b, tau0_b = (a[b] if a.ndim else a for a in (tau_q, x0, tau0))
+        gain, shrink = scalar if scalar is not None else _conjugate(tau_q_b, tau0_b)
+        mean = out.mean[b]
+        np.multiply(gain, q[b], out=mean, dtype=mean.dtype)
+        mean += shrink * x0_b
+        np.multiply(tau0_b, shrink, out=out.var[b])
+
+    _blockwise(block, n)
+    return out
 
 
 @dataclass(eq=False)
@@ -179,26 +192,44 @@ def bg_denoise(q, tau_q, prior: BernoulliGaussianPrior) -> DenoiserOutput:
     rho, mu, v = prior.rho, prior.mu, prior.v
     if rho == 0.0:
         return DenoiserOutput(mean=np.zeros(n, dtype=q.dtype), var=np.zeros(n))
+    k = 1.0 if prior.complex_valued else 0.5
 
-    m_act, shrink = _conjugate(q, tau_q, mu, v)
-    v_act = v * shrink
-    m2 = np.abs(m_act)
-    np.square(m2, out=m2)
-    if rho == 1.0:
-        pi = 1.0
-    else:
-        k = 1.0 if prior.complex_valued else 0.5
-        # one work array holds -t, then exp(-t), then pi = 1 / (1 + exp(-t))
-        pi = np.multiply(k / v_act, m2)
-        np.subtract(np.log1p(-rho) - np.log(rho) - k * (np.log(shrink) - abs(mu) ** 2 / v), pi, out=pi)
-        with np.errstate(over="ignore"):
+    def slab(tq):
+        # gain, shrink and variance v s of the slab's conjugate update, and
+        # the scale and offset of -t = offset - scale |m|^2
+        gain, shrink = _conjugate(tq, v)
+        v_act = v * shrink
+        if rho == 1.0:
+            return gain, shrink, v_act, None, None
+        return gain, shrink, v_act, k / v_act, np.log1p(-rho) - np.log(rho) - k * (np.log(shrink) - abs(mu) ** 2 / v)
+
+    out = DenoiserOutput(mean=np.empty(n, np.result_type(q, mu, np.float64)), var=np.empty(n))
+    scalar = slab(tau_q) if tau_q.ndim == 0 else None
+
+    def block(b):
+        gain, shrink, v_act, scale, offset = scalar if scalar is not None else slab(tau_q[b])
+        m_act, var = out.mean[b], out.var[b]
+        np.multiply(gain, q[b], out=m_act, dtype=m_act.dtype)
+        m_act += shrink * mu
+        m2 = np.abs(m_act)
+        np.square(m2, out=m2)
+        if rho == 1.0:
+            pi = 1.0
+        else:
+            # one work array holds -t, then exp(-t), then pi = 1 / (1 + exp(-t))
+            pi = np.multiply(scale, m2)
+            np.subtract(offset, pi, out=pi)
+            # a worker thread does not inherit the caller's error state;
             # exp(-t) = inf below t = -709 gives pi = 0, the exact limit
-            np.exp(pi, out=pi)
-        pi += 1.0
-        np.reciprocal(pi, out=pi)
+            with np.errstate(over="ignore"):
+                np.exp(pi, out=pi)
+            pi += 1.0
+            np.reciprocal(pi, out=pi)
+        np.subtract(1.0, pi, out=var)
+        var *= m2
+        var += v_act
+        var *= pi
+        np.multiply(pi, m_act, out=m_act)
 
-    var = np.subtract(1.0, pi, out=np.empty_like(m2))
-    var *= m2
-    var += v_act
-    var *= pi
-    return DenoiserOutput(mean=np.multiply(pi, m_act, out=m_act), var=var)
+    _blockwise(block, n)
+    return out

@@ -9,6 +9,8 @@ SvdFactorization stores thin singular factors, and DftFactorization applies
 the DFT of a circulant A by FFTs, densifies A from its first column, and
 builds U or V only when read.  Every FFT of a DftFactorization goes
 through _fft, which runs a long transform as a threaded four-step FFT.
+Its worker threads (_split) also run a step's long elementwise chains in
+cache-sized blocks (_blockwise).
 """
 
 from __future__ import annotations
@@ -55,10 +57,12 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
 # From this length up, _fft runs a four-step FFT on every CPU of the process;
 # below it one pocketfft call is faster.  Pocketfft against four-step on a
 # 2-core VM: 0.55 against 0.66 ms at 2^15, 1.45 against 1.09 ms at 2^16,
-# 45 against 20-23 ms at 2^20.
+# 45 against 20-23 ms at 2^20.  It is also _blockwise's threshold and block
+# length; the BG denoiser at 2^20 on that VM takes 24 ms in blocks of 2^12,
+# 8.4-8.8 ms at 2^15, 7.4-7.8 ms at 2^16 and 7.8-8.3 ms at 2^18-2^20.
 _FOUR_STEP_MIN = 2**16
 
-_pool = None  # (pid, executor) of the four-step's worker threads
+_pool = None  # (pid, executor) of _split's worker threads
 _pool_lock = threading.Lock()
 
 
@@ -126,7 +130,7 @@ def _four_step(z: np.ndarray, n1: int, n2: int, tw: np.ndarray, norm: str, inver
     return out
 
 
-def _fft_workers() -> int:
+def _workers() -> int:
     """The number of CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -136,8 +140,9 @@ def _fft_workers() -> int:
 
 def _split(fn, m: int) -> None:
     """Call fn on contiguous slices of range(m), one per worker; the calling
-    thread takes the first."""
-    k = min(_fft_workers(), m)
+    thread takes the first.  fn must not call _split: the pool has one
+    thread fewer than there are workers, so a nested call can deadlock."""
+    k = min(_workers(), m)
     bounds = [m * i // k for i in range(k + 1)]
     parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     futures = [_executor().submit(fn, part) for part in parts[1:]]
@@ -150,16 +155,33 @@ def _split(fn, m: int) -> None:
         f.result()
 
 
+def _blockwise(fn, n: int) -> None:
+    """Call fn on consecutive slices of range(n), at most _FOUR_STEP_MIN long,
+    so that a chain of elementwise passes runs on a slice while it is in
+    cache: on the workers (_split) from _FOUR_STEP_MIN up, else inline.  A
+    worker does not inherit the caller's np.errstate; fn enters its own.  fn
+    takes each view once, so numpy skips its overlap check on out=."""
+    if n < _FOUR_STEP_MIN:
+        fn(slice(0, n))
+        return
+
+    def walk(part):
+        for lo in range(part.start, part.stop, _FOUR_STEP_MIN):
+            fn(slice(lo, min(lo + _FOUR_STEP_MIN, part.stop)))
+
+    _split(walk, n)
+
+
 def _executor():
-    """The worker threads, started on first use.  A forked child inherits the
+    """_split's threads, started on first use.  A forked child inherits the
     executor but none of its threads, so a new process starts its own."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
 
-            workers = max(1, _fft_workers() - 1)
-            _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="utamp-fft"))
+            workers = max(1, _workers() - 1)
+            _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="utamp"))
         return _pool[1]
 
 
@@ -259,14 +281,13 @@ class Factorization:
     def apply_av(self, x: np.ndarray) -> np.ndarray:
         """Return Lam V x (length M, zero past k) without forming A."""
         z = self._v(x)
-        np.multiply(self.lam, z, out=z)
+        _blockwise(lambda b: np.multiply(self.lam[b], (zb := z[b]), out=zb), z.size)
         return np.pad(z, (0, self.M - z.size)) if self.M > z.size else z
 
     def apply_avh(self, s: np.ndarray) -> np.ndarray:
         """Return V^H Lam^H s (length N), the adjoint of apply_av."""
-        k = self.lam.size
-        z = np.conjugate(self.lam, out=np.empty(k, np.result_type(self.lam, s)))
-        np.multiply(z, s[:k], out=z)
+        z = np.empty(self.lam.size, np.result_type(self.lam, s))
+        _blockwise(lambda b: np.multiply(np.conjugate(self.lam[b], out=(zb := z[b])), s[b], out=zb), z.size)
         return self._vh(z)
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:

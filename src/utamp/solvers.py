@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import GaussianPrior
-from .model import LinearModel, TransformedModel, _matmul, unitary_transform
+from .model import LinearModel, TransformedModel, _blockwise, _matmul, unitary_transform
 
 __all__ = [
     "ALGORITHMS",
@@ -75,8 +75,9 @@ def _guarded_correction(x, tau_q, corr):
     tau_q_arr = np.asarray(tau_q, dtype=float)
     finite = np.isfinite(tau_q_arr)
     if tau_q_arr.ndim == 0:
-        np.multiply(float(tau_q_arr) if finite else 0.0, corr, out=corr)
-        return np.add(x, corr, out=corr)
+        scale = float(tau_q_arr) if finite else 0.0
+        _blockwise(lambda b: np.add(x[b], np.multiply(scale, (c := corr[b]), out=c), out=c), corr.size)
+        return corr
     return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
 
 
@@ -134,20 +135,29 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[So
     variance is N / <lam_p, tau_s>.
 
     Outside the denoiser, every length-N array the step allocates is one
-    it returns: p and q are built in the outputs of the two applies.
+    it returns: p and q are built in the outputs of the two applies.  The
+    elementwise chains here, in the applies and in the denoiser run on every
+    CPU from 2^16 entries up (model._blockwise); the reductions stay whole,
+    so the iterate does not depend on the number of CPUs.
     """
     fact = tmodel.fact
     tau_x = float(np.mean(state.tau_x))
-    tau_p = tau_x * tmodel.lam_p
     p = fact.apply_av(state.x)
     dtype = np.result_type(p, state.s, tmodel.r)
     p = p.astype(dtype, copy=False)
-    s = np.multiply(tau_p, state.s, dtype=dtype)
-    p -= s
-    tau_s = tau_p + tmodel.sigma2
-    np.reciprocal(tau_s, out=tau_s)
-    np.subtract(tmodel.r, p, out=s)
-    np.multiply(tau_s, s, out=s)
+    tau_p, tau_s, s = np.empty(p.size), np.empty(p.size), np.empty(p.size, dtype)
+
+    def chain(b):
+        tau_p_b, p_b, tau_s_b, s_b = tau_p[b], p[b], tau_s[b], s[b]
+        np.multiply(tau_x, tmodel.lam_p[b], out=tau_p_b)
+        np.multiply(tau_p_b, state.s[b], out=s_b, dtype=dtype)
+        p_b -= s_b
+        np.add(tau_p_b, tmodel.sigma2, out=tau_s_b)
+        np.reciprocal(tau_s_b, out=tau_s_b)
+        np.subtract(tmodel.r[b], p_b, out=s_b)
+        np.multiply(tau_s_b, s_b, out=s_b)
+
+    _blockwise(chain, p.size)
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
     denom = float(np.einsum("i,i", tmodel.lam_p, tau_s))

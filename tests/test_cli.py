@@ -401,13 +401,15 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]", out.stdout
 
 
-def test_small_circulant_solve_starts_no_fft_threads():
-    # N = 4096 stays on pocketfft: no executor, and concurrent.futures (about
-    # 6 ms to import) is never loaded
+@pytest.mark.parametrize("prior", ["gauss", "bg:rho=0.1"], ids=["gauss", "bg"])
+def test_small_circulant_solve_starts_no_fft_threads(prior):
+    # N = 4096 stays on pocketfft, and the step's and the denoiser's
+    # elementwise chains run inline: no executor, and concurrent.futures
+    # (about 6 ms to import) is never loaded
     code = (
         "import sys, utamp.cli\n"
         "before = 'concurrent.futures' in sys.modules\n"
-        "code = utamp.cli.main(['solve', 'circulant', '4096', '4096', 'seed=2', '--seed', '2'])\n"
+        f"code = utamp.cli.main(['solve', 'circulant', '4096', '4096', 'seed=2', '--seed', '2', '--prior', {prior!r}])\n"
         "print('RESULT', code, before, 'concurrent.futures' in sys.modules, utamp.model._pool)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

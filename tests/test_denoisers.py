@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,6 +14,7 @@ from utamp import (
     bg_denoise,
     gaussian_denoise,
 )
+from utamp import model as model_module
 
 
 # ---------------------------------------------------------------- oracles
@@ -409,13 +411,17 @@ def test_check_tau_q_rejects_bad_stepsizes():
 
 @pytest.mark.parametrize(
     "denoise,prior,limit",
-    [(bg_denoise, BernoulliGaussianPrior(rho=0.1), 3), (gaussian_denoise, GaussianPrior(), 4)],
+    [(bg_denoise, BernoulliGaussianPrior(rho=0.1), 2), (gaussian_denoise, GaussianPrior(), 4)],
     ids=["bg", "gaussian"],
 )
-def test_scalar_stepsize_denoise_allocation(denoise, prior, limit):
+def test_scalar_stepsize_denoise_allocation(monkeypatch, denoise, prior, limit):
     # a scalar tau_q and scalar prior parameters are never copied to length
     # n: the peak of one call on complex q stays below limit * 16n bytes.
-    # bg writes into its mean and var with two real work arrays (2.5 x 16n)
+    # mean and var take 1.5 x 16n; bg adds two real work arrays per block
+    # of 2^16 entries (0.25 x 16n here), which it held full-length before
+    # (2.5 x 16n).  Each further worker adds a block's work arrays, so the
+    # count is pinned.
+    monkeypatch.setattr(model_module, "_workers", lambda: 1)
     n = 2**18
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -427,3 +433,19 @@ def test_scalar_stepsize_denoise_allocation(denoise, prior, limit):
         tracemalloc.stop()
     assert out.mean.shape == out.var.shape == (n,)
     assert peak < limit * 16 * n, f"peak {peak / (16 * n):.2f} x 16n bytes"
+
+
+def test_saturated_odds_raise_no_warning_on_the_worker_threads(monkeypatch):
+    # numpy's error state does not follow a block onto a worker thread, so
+    # each block enters its own.  With the slab at 1e8 and tau_q = v, q =
+    # -1e8 gives m = 0 and exp(-t) overflows to inf (pi = 0, the exact
+    # limit); q = 1e8 gives pi = 1.  Both sit in every block.
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    n = 2**17
+    q = np.tile([1e8, -1e8], n // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = bg_denoise(q, 1.0, BernoulliGaussianPrior(rho=0.1, mu=1e8))
+    assert np.all(np.isfinite(out.mean)) and np.all(np.isfinite(out.var))
+    assert np.array_equal(out.mean, np.where(q > 0, 1e8, 0.0))
+    assert np.array_equal(out.var, np.where(q > 0, 0.5, 0.0))

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from utamp import (
+    BernoulliGaussianPrior,
     DftFactorization,
     Factorization,
     FactorizationError,
     GaussianPrior,
     LinearModel,
     SvdFactorization,
+    bg_denoise,
     circulant_factorize,
+    initial_state,
     load_matrix,
     load_vector,
     run,
@@ -25,6 +28,7 @@ from utamp import (
     scaled_gram_diagonal,
     svd_factorize,
     unitary_transform,
+    ut_amp_step,
 )
 from utamp import model as model_module
 from utamp.model import circulant_matrix
@@ -491,19 +495,36 @@ def test_large_dft_applies_are_adjoint_and_keep_their_contract(n):
 
 @pytest.mark.parametrize("workers", [2, 5])
 def test_fft_kernel_does_not_depend_on_the_worker_count(monkeypatch, workers):
-    # every transform of a batch is computed whole by one thread, so the
-    # split changes no bit; 5 workers is more than this machine's cores
+    # every transform of a batch is computed whole by one thread, and every
+    # elementwise pass of a step gives the same bits on any slice, so the
+    # split changes no bit of a transform or of a step; 5 workers is more
+    # than this machine's cores
     n = 3 * 2**17
     x = np.random.default_rng(32).standard_normal(n) + 1j * np.random.default_rng(33).standard_normal(n)
+    rng = np.random.default_rng(34)
+    fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
+    tm = unitary_transform(LinearModel(fact, fact.matvec(x.real) + 0.03 * rng.standard_normal(n), 1e-3))
+    priors = [
+        BernoulliGaussianPrior(rho=0.1),
+        BernoulliGaussianPrior(rho=0.1, mu=0.5, complex_valued=True),
+        GaussianPrior(x0=0.2, tau0=np.linspace(0.5, 2.0, n)),
+    ]
     results = {}
     for count in (1, workers):
-        monkeypatch.setattr(model_module, "_fft_workers", lambda: count)
+        monkeypatch.setattr(model_module, "_workers", lambda: count)
         results[count] = [model_module._fft(x.copy(), inverse=inverse).tobytes() for inverse in (False, True)]
+        for prior in priors:
+            # the second step meets a nonzero s
+            state = initial_state("utamp", n, n, prior, dtype=complex)
+            for _ in range(2):
+                state, scratch = ut_amp_step(state, tm, prior)
+            fields = [state.x, state.tau_x, *vars(scratch).values()]
+            results[count] += [np.asarray(f).tobytes() for f in fields]
     assert results[1] == results[workers]
 
 
 def test_fft_kernel_serves_concurrent_callers(monkeypatch):
-    monkeypatch.setattr(model_module, "_fft_workers", lambda: 3)
+    monkeypatch.setattr(model_module, "_workers", lambda: 3)
     n = 2**16
     rng = np.random.default_rng(34)
     xs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(4)]
@@ -530,6 +551,38 @@ def test_fft_kernel_serves_concurrent_callers(monkeypatch):
         assert all(np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want)) for g in got)
 
 
+def test_blocked_denoiser_serves_concurrent_callers(monkeypatch):
+    # two callers share the pool; a block never submits work, so neither
+    # can wait on a thread that waits on it
+    n = 2**16
+    rng = np.random.default_rng(36)
+    qs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)]
+    prior = BernoulliGaussianPrior(rho=0.1)
+    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    want = [bg_denoise(q, 0.3, prior) for q in qs]
+    monkeypatch.setattr(model_module, "_workers", lambda: 3)
+    results = [[] for _ in qs]
+
+    def call(i):
+        for _ in range(5):
+            results[i].append(bg_denoise(qs[i], 0.3, prior))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(qs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w, got in zip(want, results):
+        assert len(got) == 5
+        assert all(g.mean.tobytes() == w.mean.tobytes() and g.var.tobytes() == w.var.tobytes() for g in got)
+
+
 def _transform_in_forked_child():
     n = 2**17
     x = np.random.default_rng(35).standard_normal(n) + 0j
@@ -542,7 +595,7 @@ def _transform_in_forked_child():
 def test_fft_kernel_runs_in_a_forked_child(monkeypatch):
     # the child inherits the parent's executor but none of its threads; a
     # transform handed to that executor would never finish
-    monkeypatch.setattr(model_module, "_fft_workers", lambda: 2)
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
     model_module._fft(np.ones(2**17, complex))
     assert model_module._pool is not None
     child = multiprocessing.get_context("fork").Process(target=_transform_in_forked_child)
