@@ -192,7 +192,8 @@ class LinearModel:
     A is a dense matrix or a Factorization of it.  ``fact`` is the one
     factorization of the problem, read by the transform-domain solver, the
     LMMSE oracle and the certificate: the one the model was built on, or a
-    thin SVD of a dense A on first read.  A model built on a factorization
+    thin SVD of a dense A on first read.  ``transformed`` holds r = U^H y
+    on it, also computed once.  A model built on a factorization
     is matrix-free: the dense ``A`` (with ``abs2`` and ``frob2``) is built
     on first read, for the consumers that need it (the AMP baselines and the
     dense ``lmmse_solve``).
@@ -255,6 +256,20 @@ class LinearModel:
     def frob2(self) -> float:
         """Squared Frobenius norm of A."""
         return float(np.sum(self.abs2))
+
+    @cached_property
+    def transformed(self) -> TransformedModel:
+        """The model after left-multiplying by U^H, computed on first read, so
+        that run and lmmse_transformed share one transform (unitary_transform).
+
+        r = U^H y (length M) for U_k completed by the normalized part of y
+        outside its range: r[:k] = U_k^H y, r[k] = ||y - U_k U_k^H y|| when
+        M > k, zeros after.  So ||r - Lam V x|| = ||y - A x|| for every x.
+        The factorization computes it (Factorization.transform) without U_k.
+        """
+        fact = self.fact
+        lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.M - fact.lam.size))
+        return TransformedModel(fact=fact, r=fact.transform(self.y), sigma2=self.sigma2, lam_p=lam_p)
 
 
 @dataclass(eq=False)
@@ -495,16 +510,9 @@ class TransformedModel:
 
 def unitary_transform(model: LinearModel) -> TransformedModel:
     """Precompute everything the transform-domain solver needs, on the
-    model's factorization.
-
-    r = U^H y (length M) for U_k completed by the normalized part of y
-    outside its range: r[:k] = U_k^H y, r[k] = ||y - U_k U_k^H y|| when
-    M > k, zeros after.  So ||r - Lam V x|| = ||y - A x|| for every x.
-    The factorization computes it (Factorization.transform) without U_k.
-    """
-    fact = model.fact
-    lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.M - fact.lam.size))
-    return TransformedModel(fact=fact, r=fact.transform(model.y), sigma2=model.sigma2, lam_p=lam_p)
+    model's factorization: the model's TransformedModel, computed once per
+    model (LinearModel.transformed)."""
+    return model.transformed
 
 
 def scaled_gram_diagonal(C, d) -> np.ndarray:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from utamp import DftFactorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
+from utamp import DftFactorization, SvdFactorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
 from utamp import cli
 from utamp.cli import main, parse_ensemble, parse_prior, CliError
 from utamp.denoisers import BernoulliGaussianPrior, GaussianPrior
@@ -381,6 +381,22 @@ def test_compare_matrix_file_factorizes_once(tmp_path, capsys, monkeypatch):
     assert len(certs) == 1
     assert abs(certs[0].spectral_radius - want) <= 1e-12
     assert f"certificate: spectral radius {want:.6g} (contractive)" in capsys.readouterr().out
+
+
+def test_compare_matrix_file_transforms_once(tmp_path, monkeypatch):
+    # run("utamp") and the LMMSE oracle share the model's one r = U^H y
+    path = tmp_path / "A.txt"
+    save_matrix(path, generate_matrix(EnsembleSpec(kind="column_correlated", M=60, N=30, seed=4)))
+    calls = []
+    real_transform = SvdFactorization.transform
+
+    def counting_transform(self, y):
+        calls.append(y.shape)
+        return real_transform(self, y)
+
+    monkeypatch.setattr(SvdFactorization, "transform", counting_transform)
+    assert main(["compare", "--matrix", str(path), "--sigma2", "0.01", "--seed", "2"]) == 0
+    assert calls == [(60,)]
 
 
 def test_radius_near_one_prints_its_gap(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import contextlib
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +35,7 @@ from utamp import (
     unitary_transform,
     ut_amp_step,
 )
+from utamp import matrixio
 from utamp import model as model_module
 from utamp.model import circulant_matrix
 
@@ -521,6 +524,204 @@ def test_load_matrix_peak_memory_is_near_its_result(tmp_path):
         tracemalloc.stop()
     assert a.shape == (2000, 500)
     assert peak < 2 * a.nbytes, f"peak {peak / a.nbytes:.2f} x the array's bytes"
+
+
+# The forked path (matrixio: one row range per CPU from _FORK_MIN numbers up,
+# on Linux).  These tests force it on small files.
+
+needs_fork = pytest.mark.skipif(not matrixio._CAN_FORK, reason="the forked path runs on Linux only")
+
+
+@contextlib.contextmanager
+def _forking(workers):
+    """matrixio's forked path at `workers` processes; at 1 it is the one-pass reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixio, "_FORK_MIN", 1)
+        mp.setattr(model_module, "_workers", lambda: workers)
+        yield
+
+
+def _load(path, workers):
+    with _forking(workers):
+        return load_matrix(path)
+
+
+def _load_counting_parses(path, workers):
+    """_load, and how many parses this process ran: 1 when one pass or the
+    forked path read the file, 2 when the forked path fell back to one pass."""
+    calls, real_parse = [], matrixio._parse
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixio, "_parse", lambda text: calls.append(text) or real_parse(text))
+        return _load(path, workers), len(calls)
+
+
+def _load_error(path, workers):
+    with _forking(workers), pytest.raises(ValueError) as err:
+        load_matrix(path)
+    return str(err.value)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@given(_matrices(st.floats() | _SPECIAL_FLOATS), st.sampled_from([1, 2, 3]))
+def test_forked_save_and_load_match_one_pass(tmp_path_factory, a, workers):
+    path = tmp_path_factory.mktemp("forked") / "a.txt"
+    with _forking(workers):
+        save_matrix(path, a)
+    assert path.read_bytes() == _per_element_format(a).encode()
+    (got, parses), want = _load_counting_parses(path, workers), _load(path, 1)
+    _assert_no_children()
+    assert parses == 1
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("pad", range(6))
+def test_forked_load_reads_crlf_tabs_and_blank_lines_across_cuts(tmp_path, workers, pad):
+    # the padding moves the cuts through blank lines, tabs, CRLFs and lone CRs
+    body = b"\r\n" * pad + b"1\t2\r\n\r\n\r\n  3 \t 4  \r\n\t\r\n\n5 6\n" + b" \r\n" * (5 - pad) + b"7 8\r1 2\r"
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"\r\n5 2 real\r\n" + body)
+    got, parses = _load_counting_parses(path, workers)
+    _assert_no_children()
+    assert parses == 1
+    assert np.array_equal(got, [[1, 2], [3, 4], [5, 6], [7, 8], [1, 2]])
+    assert np.array_equal(got, _load(path, 1))
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "10 2 real\n" + "1 2\n" * 9 + "3 oops\n",
+        "10 2 real\n" + "1 2\n" * 9 + "3\n",
+        "10 2 real\n" + "1 2\n" * 4 + "\n\n" + "1 2\n" * 4 + "1 2 3\n",
+        "10 2 real\n" + "1 2\n" * 9 + "1_000 2\n",
+        "10 2 real\n" + "1 2\n" * 11,
+        "10 2 real\n" + "1 2\n" * 9,
+        "10 2 real\n" + "oops 2\n" + "1 2\n" * 9,
+        "4 2 complex\n" + "1 2 3 4\n" * 3 + "1 2 3\n",
+        # a range whose rows all lack a number, a child's and this process's
+        "6 2 real\n" + "1.2345678901234567 1.2345678901234567\n" * 2 + "1.2345678901234567\n" * 4,
+        "6 2 real\n" + "1.2345678901234567\n" * 4 + "1.2345678901234567 1.2345678901234567\n" * 2,
+    ],
+)
+def test_forked_load_errors_match_one_pass(tmp_path, workers, content):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    assert _load_error(path, workers) == _load_error(path, 1)
+    _assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "content",
+    [
+        "1 1 real\n5\n",  # the first range, this process's, is empty
+        "1 2 real\n1 2\n" + "\n" * 40,  # the children's ranges hold blank lines only
+        "2 1 real\n-0\n  \n\ninf",  # no newline at the end
+    ],
+)
+def test_forked_load_handles_ranges_without_rows(tmp_path, content):
+    path = tmp_path / "a.txt"
+    path.write_text(content)
+    (got, parses), want = _load_counting_parses(path, 3), _load(path, 1)
+    _assert_no_children()
+    assert parses == 1
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@needs_fork
+def test_forked_io_does_the_work_of_a_child_that_fails(tmp_path, monkeypatch):
+    a = np.random.default_rng(5).standard_normal((9, 4)) * 1e-300
+    path = tmp_path / "a.txt"
+    real_parse, parent = matrixio._parse, os.getpid()
+
+    def parse_fails_in_children(text):
+        if os.getpid() != parent:
+            raise ValueError("a child's range")
+        return real_parse(text)
+
+    def no_fork():
+        raise OSError("no processes left")
+
+    with _forking(3):
+        with monkeypatch.context() as mp:
+            mp.setattr(matrixio, "_MAX_FIELD", 1)  # a child's text overflows its map
+            save_matrix(path, a)
+        assert path.read_bytes() == _per_element_format(a).encode()
+        with monkeypatch.context() as mp:
+            mp.setattr(matrixio, "_parse", parse_fails_in_children)
+            assert np.array_equal(load_matrix(path), a)
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "fork", no_fork)
+            save_matrix(path, a)
+            assert np.array_equal(load_matrix(path), a)
+    assert path.read_bytes() == _per_element_format(a).encode()
+    _assert_no_children()
+
+
+@needs_fork
+def test_forked_children_are_killed_when_the_parent_fails(tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    save_matrix(path, np.ones((8, 2)))
+    real_parse, parent = matrixio._parse, os.getpid()
+
+    def parse(text):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent's range")
+        time.sleep(60)
+        return real_parse(text)
+
+    monkeypatch.setattr(matrixio, "_parse", parse)
+    start = time.perf_counter()
+    with _forking(3), pytest.raises(RuntimeError, match="the parent's range"):
+        load_matrix(path)
+    assert time.perf_counter() - start < 30, "the children were waited for, not killed"
+    _assert_no_children()
+
+
+@needs_fork
+def test_forked_load_prints_nothing_twice(tmp_path, capfd):
+    path = tmp_path / "a.txt"
+    save_matrix(path, np.ones((8, 2)))
+    print("printed once")
+    with open(1, "w", closefd=False) as out:  # a buffered stream the children inherit unflushed
+        out.write("written once\n")
+        a = _load(path, 3)
+        with _forking(3):
+            save_matrix(path, a)
+    captured = capfd.readouterr().out
+    assert captured.count("printed once") == 1 and captured.count("written once") == 1, captured
+    _assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_matrix_io_on_one_cpu_never_forks(tmp_path):
+    # pins only the child interpreter it starts
+    code = "\n".join([
+        "import os, sys",
+        "import numpy as np",
+        "from utamp import load_matrix, matrixio, save_matrix",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+        "matrixio._FORK_MIN = 1",
+        "def no_fork():",
+        "    raise AssertionError('forked on one CPU')",
+        "os.fork = no_fork",
+        "a = np.random.default_rng(0).standard_normal((300, 40))",
+        "save_matrix(sys.argv[1], a)",
+        "assert np.array_equal(load_matrix(sys.argv[1]), a)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "a.txt")], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_model_and_svd_hold_float64_a_without_copying(monkeypatch):
