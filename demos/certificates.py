@@ -23,7 +23,6 @@ from utamp import (
     initial_state,
     lmmse_solve,
     synthesize_instance,
-    unitary_transform,
     ut_amp_step,
 )
 
@@ -44,7 +43,7 @@ print()
 
 # predicted rate vs measured rate
 xstar = lmmse_solve(model, prior)
-tm = unitary_transform(model)
+tm = model.transformed
 state = initial_state("utamp", model.N, model.M, prior)
 errs = []
 for _ in range(80):

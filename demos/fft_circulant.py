@@ -19,7 +19,6 @@ from utamp import (
     initial_state,
     run,
     synthesize_instance,
-    unitary_transform,
     ut_amp_step,
 )
 
@@ -31,8 +30,8 @@ model = synthesize_instance(A, prior, sigma2=0.02, seed=5)
 
 # the same y on the DFT factorization of A's first column
 fft_model = LinearModel(circulant_factorize(A[:, 0]), model.y, model.sigma2)
-tm_fft = unitary_transform(fft_model)
-tm_svd = unitary_transform(model)
+tm_fft = fft_model.transformed
+tm_svd = model.transformed
 s_fft = initial_state("utamp", 64, 64, prior, dtype=complex)
 s_svd = initial_state("utamp", 64, 64, prior)
 worst = 0.0

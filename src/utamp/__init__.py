@@ -25,7 +25,6 @@ from .model import (
     circulant_factorize,
     scaled_gram_diagonal,
     svd_factorize,
-    unitary_transform,
 )
 from .solvers import (
     ALGORITHMS,
@@ -99,7 +98,6 @@ __all__ = [
     "svd_factorize",
     "synthesize_instance",
     "ut_amp_step",
-    "unitary_transform",
     "variance_fixed_point",
     "vector_amp_step",
 ]

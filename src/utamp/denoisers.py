@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import _blockwise
+from ._threads import _blockwise
 
 __all__ = [
     "GaussianPrior",
@@ -86,6 +86,8 @@ class GaussianPrior:
         self.tau0 = np.asarray(self.tau0, dtype=float)
         if np.any(self.tau0 <= 0) or not np.all(np.isfinite(self.tau0)):
             raise ValueError("tau0 entries must be positive and finite")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 entries must be finite")
         if np.iscomplexobj(self.x0):
             self.complex_valued = True
 
@@ -144,12 +146,14 @@ class BernoulliGaussianPrior:
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         self.v = float(self.v)
-        if not self.v > 0:
-            raise ValueError(f"slab variance v must be positive, got {self.v}")
+        if not 0 < self.v < np.inf:
+            raise ValueError(f"slab variance v must be positive and finite, got {self.v}")
         if isinstance(self.mu, complex) and self.mu.imag != 0:
             self.complex_valued = True
         else:
             self.mu = complex(self.mu).real if not self.complex_valued else complex(self.mu)
+        if not np.isfinite(self.mu):
+            raise ValueError(f"slab mean mu must be finite, got {self.mu}")
 
     def mean_vector(self, n: int) -> np.ndarray:
         return np.full(n, self.rho * self.mu)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Factorization, LinearModel, circulant_matrix
+from .model import Factorization, LinearModel, _noise_variance, circulant_matrix
 
 __all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_matrix", "circulant_taps", "generate_matrix", "synthesize_instance"]
 
@@ -155,6 +155,7 @@ def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
     matrix, so regenerating A with different knobs keeps the same x and n.
     Complex matrices or priors get circularly-symmetric complex noise.
     """
+    sigma2 = _noise_variance(sigma2)  # checked before it scales the noise
     if not isinstance(A, Factorization):
         A = np.asarray(A)
     m, n = A.shape

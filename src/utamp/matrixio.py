@@ -32,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from . import model
+from . import _threads
 
 __all__ = ["load_matrix", "save_matrix", "load_vector", "save_vector"]
 
@@ -151,7 +151,7 @@ def _fork_count(fh, rows: int, numbers: int) -> int:
     an encoding in which every newline byte ends a line; else 1."""
     if not _CAN_FORK or numbers < _FORK_MIN or codecs.lookup(fh.encoding).name not in ("ascii", "utf-8"):
         return 1
-    return min(model._workers(), rows)
+    return min(_threads._workers(), rows)
 
 
 def _forked(own, jobs):

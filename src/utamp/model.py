@@ -9,20 +9,18 @@ SvdFactorization stores thin singular factors, a tall A's U_k only as the
 Householder reflectors of a QR factorization and the k x k U_R of an SVD of
 its triangle; DftFactorization applies the DFT of a circulant A by FFTs,
 densifies A from its first column, and builds U or V only when read.  Every
-FFT of a DftFactorization goes through _fft, which runs a long transform as
-a threaded four-step FFT.  Its worker threads (_split) also run a step's
-long elementwise chains in cache-sized blocks (_blockwise).
+FFT of a DftFactorization goes through _threads._fft, and the applies run
+their elementwise passes in blocks on its worker threads (_blockwise).
 """
 
 from __future__ import annotations
 
-import math
-import os
-import threading
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
+
+from ._threads import _blockwise, _fft
 
 __all__ = [
     "LinearModel",
@@ -34,7 +32,6 @@ __all__ = [
     "svd_factorize",
     "circulant_factorize",
     "circulant_matrix",
-    "unitary_transform",
     "scaled_gram_diagonal",
 ]
 
@@ -55,135 +52,12 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-# From this length up, _fft runs a four-step FFT on every CPU of the process;
-# below it one pocketfft call is faster.  Pocketfft against four-step on a
-# 2-core VM: 0.55 against 0.66 ms at 2^15, 1.45 against 1.09 ms at 2^16,
-# 45 against 20-23 ms at 2^20.  It is also _blockwise's threshold and block
-# length; the BG denoiser at 2^20 on that VM takes 24 ms in blocks of 2^12,
-# 8.4-8.8 ms at 2^15, 7.4-7.8 ms at 2^16 and 7.8-8.3 ms at 2^18-2^20.
-_FOUR_STEP_MIN = 2**16
-
-_pool = None  # (pid, executor) of _split's worker threads
-_pool_lock = threading.Lock()
-
-
-def _fft(z: np.ndarray, inverse: bool = False, norm: str = "ortho") -> np.ndarray:
-    """np.fft.fft (or ifft) of the complex128 vector z, for norm "ortho" or
-    "backward".  z may be overwritten; the result is z or a fresh array."""
-    plan = _four_step_plan(z.size) if z.size >= _FOUR_STEP_MIN else None
-    if plan is None:
-        return (np.fft.ifft if inverse else np.fft.fft)(z, norm=norm, out=z)
-    return _four_step(z, *plan, norm, inverse)
-
-
-@lru_cache(maxsize=2)
-def _four_step_plan(n: int):
-    """(n1, n2, twiddles) for n = n1 n2 with n1 the divisor of n nearest
-    sqrt(n), or None when n is prime.  The table is read-only and shared."""
-    d = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
-    if d == 1:
-        return None
-    n1 = d if math.sqrt(n) - d <= n // d - math.sqrt(n) else n // d
-    n2 = n // n1
-    # exact integer phases (k2 j1) % n (products stay below 2^53), so the
-    # angle is rounded once
-    angle = np.multiply.outer(np.arange(n2, dtype=float), np.arange(n1, dtype=float))
-    np.fmod(angle, n, out=angle)
-    angle *= 2.0 * np.pi / n
-    tw = np.empty(angle.shape, np.complex128)
-    np.cos(angle, out=tw.real)
-    np.sin(angle, out=tw.imag)
-    np.negative(tw.imag, out=tw.imag)
-    tw.flags.writeable = False
-    return n1, n2, tw
-
-
-def _four_step(z: np.ndarray, n1: int, n2: int, tw: np.ndarray, norm: str, inverse: bool) -> np.ndarray:
-    """The DFT of z (length n = n1 n2) as n1 length-n2 transforms, the
-    twiddles, then n2 length-n1 transforms written transposed into a fresh
-    result (Bailey's four-step FFT); z is overwritten.  Each batch is split
-    across the worker threads; every transform is computed whole by one
-    thread, so the result does not depend on their number."""
-    n = z.size
-    a = z.reshape(n2, n1)  # a[j2, j1] = z[j1 + n1 j2]
-    if inverse:
-        # ifft(z)[k] = fft(z)[(n - k) % n] / n: the forward transform is
-        # written backwards into a buffer one entry longer, so its entry 0
-        # lands in buf[n] and is moved to the front at the end
-        buf = np.empty(n + 1, np.complex128)
-        out, dst = buf[:n], buf[::-1][:n]
-        norm = {"ortho": "ortho", "backward": "forward"}[norm]
-    else:
-        out = dst = np.empty(n, np.complex128)
-    o = dst.reshape(n1, n2).T  # o[k2, k1] = dst[k2 + n2 k1]
-
-    def columns(c):
-        np.fft.fft(a[:, c], axis=0, norm=norm, out=a[:, c])
-
-    def rows(c):
-        np.multiply(a[c], tw[c], out=a[c])
-        np.fft.fft(a[c], axis=1, norm=norm, out=o[c])
-
-    _split(columns, n1)
-    _split(rows, n2)
-    if inverse:
-        out[0] = buf[n]
-    return out
-
-
-def _workers() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _split(fn, m: int) -> None:
-    """Call fn on contiguous slices of range(m), one per worker; the calling
-    thread takes the first.  fn must not call _split: the pool has one
-    thread fewer than there are workers, so a nested call can deadlock."""
-    k = min(_workers(), m)
-    bounds = [m * i // k for i in range(k + 1)]
-    parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    futures = [_executor().submit(fn, part) for part in parts[1:]]
-    try:
-        fn(parts[0])
-    finally:
-        for f in futures:
-            f.exception()  # wait for every worker before z or out is freed
-    for f in futures:
-        f.result()
-
-
-def _blockwise(fn, n: int) -> None:
-    """Call fn on consecutive slices of range(n), at most _FOUR_STEP_MIN long,
-    so that a chain of elementwise passes runs on a slice while it is in
-    cache: on the workers (_split) from _FOUR_STEP_MIN up, else inline.  A
-    worker does not inherit the caller's np.errstate; fn enters its own.  fn
-    takes each view once, so numpy skips its overlap check on out=."""
-    if n < _FOUR_STEP_MIN:
-        fn(slice(0, n))
-        return
-
-    def walk(part):
-        for lo in range(part.start, part.stop, _FOUR_STEP_MIN):
-            fn(slice(lo, min(lo + _FOUR_STEP_MIN, part.stop)))
-
-    _split(walk, n)
-
-
-def _executor():
-    """_split's threads, started on first use.  A forked child inherits the
-    executor but none of its threads, so a new process starts its own."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = max(1, _workers() - 1)
-            _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="utamp"))
-        return _pool[1]
+def _noise_variance(sigma2) -> float:
+    """sigma2 as a float, rejected unless 0 < sigma2 < inf."""
+    sigma2 = float(sigma2)
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    return sigma2
 
 
 class LinearModel:
@@ -218,9 +92,7 @@ class LinearModel:
         if self.y.ndim != 1 or self.y.shape[0] != self.M:
             raise ValueError(f"y must be a length-{self.M} vector, got shape {self.y.shape}")
         _finite(self.y, "y")
-        self.sigma2 = float(sigma2)
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        self.sigma2 = _noise_variance(sigma2)
         self.x_true = None if x_true is None else _as_float_or_complex(x_true)
         if self.x_true is not None:
             if self.x_true.shape != (self.N,):
@@ -260,7 +132,7 @@ class LinearModel:
     @cached_property
     def transformed(self) -> TransformedModel:
         """The model after left-multiplying by U^H, computed on first read, so
-        that run and lmmse_transformed share one transform (unitary_transform).
+        that run and lmmse_transformed share one transform.
 
         r = U^H y (length M) for U_k completed by the normalized part of y
         outside its range: r[:k] = U_k^H y, r[k] = ||y - U_k U_k^H y|| when
@@ -276,13 +148,12 @@ class LinearModel:
 class Factorization:
     """A = U Lam V with unitary U (M x M) and V (N x N), k = min(M, N).
 
-    lam holds the k diagonal entries of Lam.  The applies and the transform
-    are written once here; a subclass supplies the unitary parts _v
-    (x -> V_k x), _vh (its adjoint) and _uh (y -> U_k^H y), the dense U and
-    V, reconstruct, matvec, and a transform of its own if it can be tall.
-    _v and _uh return a fresh array and leave their argument alone (apply_av
-    scales the result in place); _vh may overwrite its argument, which
-    apply_avh allocates for it.
+    lam holds the k diagonal entries of Lam.  The applies are written once
+    here; a subclass supplies the unitary parts _v (x -> V_k x), _vh (its
+    adjoint) and transform (y -> U^H y), the dense U and V, reconstruct and
+    matvec.  _v and transform return a fresh array and leave their argument
+    alone (apply_av scales the result in place); _vh may overwrite its
+    argument, which apply_avh allocates for it.
     """
 
     lam: np.ndarray
@@ -310,14 +181,7 @@ class Factorization:
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:
         """Return U_k^H y, the first k entries of U^H y."""
-        return self._uh(y)
-
-    def transform(self, y: np.ndarray) -> np.ndarray:
-        """Return r = U^H y (length M) for U_k completed by the normalized
-        part of y outside its range: r[:k] = U_k^H y, r[k] = the norm of
-        that part when M > k, zeros after.  So ||r - Lam V x|| = ||y - A x||
-        for every x.  Here M = k, and r is U_k^H y."""
-        return self._uh(y)
+        return self.transform(y)[: self.lam.size]
 
 
 @dataclass(eq=False)
@@ -345,10 +209,8 @@ class SvdFactorization(Factorization):
     def _v(self, x: np.ndarray) -> np.ndarray:
         return _matmul(self._V, x)
 
-    # conj(F^T conj(z)) is F^H z without the k x N copy that F.conj() makes
-    # of a complex factor
     def _vh(self, z: np.ndarray) -> np.ndarray:
-        return _matmul(self._V.T, z.conj()).conj()
+        return _matmul_h(self._V, z)
 
     def _qh(self, y: np.ndarray) -> np.ndarray:
         """Q^H y, by the reflectors H_j = I - tau_j v_j v_j^H in turn on a
@@ -366,12 +228,13 @@ class SvdFactorization(Factorization):
 
     def _urh(self, w: np.ndarray) -> np.ndarray:
         """U_R^H w[:k] on the QR route (w = Q^H y), else U_k^H w (w = y)."""
-        return _matmul(self._UR.T, w[: self._UR.shape[0]].conj()).conj()
-
-    def _uh(self, y: np.ndarray) -> np.ndarray:
-        return self._urh(self._qh(y))
+        return _matmul_h(self._UR, w[: self._UR.shape[0]])
 
     def transform(self, y: np.ndarray) -> np.ndarray:
+        """Return r = U^H y (length M) for U_k completed by the normalized
+        part of y outside its range: r[:k] = U_k^H y, r[k] = the norm of
+        that part when M > k, zeros after.  So ||r - Lam V x|| = ||y - A x||
+        for every x."""
         k = self.lam.size
         w = self._qh(y)
         r = np.pad(self._urh(w), (0, self.M - k))
@@ -397,6 +260,12 @@ def _matmul(F: np.ndarray, z: np.ndarray) -> np.ndarray:
     return F @ z
 
 
+def _matmul_h(F: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """F^H z as conj(F^T conj(z)), without the copy that F.conj() makes of
+    a complex F; for a real F it is _matmul(F.T, z), bit for bit."""
+    return _matmul(F.T, z.conj()).conj()
+
+
 @dataclass(eq=False)
 class DftFactorization(Factorization):
     """Circulant A: U = F^H and V = F for the normalized DFT F, applied by
@@ -415,7 +284,7 @@ class DftFactorization(Factorization):
     def _vh(self, z: np.ndarray) -> np.ndarray:
         return _fft(z, inverse=True)
 
-    _uh = _v  # U^H = F = V
+    transform = _v  # U^H = F = V
 
     @cached_property
     def column(self) -> np.ndarray:
@@ -506,13 +375,6 @@ class TransformedModel:
     @property
     def N(self) -> int:
         return self.fact.N
-
-
-def unitary_transform(model: LinearModel) -> TransformedModel:
-    """Precompute everything the transform-domain solver needs, on the
-    model's factorization: the model's TransformedModel, computed once per
-    model (LinearModel.transformed)."""
-    return model.transformed
 
 
 def scaled_gram_diagonal(C, d) -> np.ndarray:

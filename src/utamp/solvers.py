@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import GaussianPrior
-from .model import LinearModel, TransformedModel, _blockwise, _matmul, unitary_transform
+from ._threads import _blockwise
+from .model import LinearModel, TransformedModel, _matmul, _matmul_h
 
 __all__ = [
     "ALGORITHMS",
@@ -81,12 +82,6 @@ def _guarded_correction(x, tau_q, corr):
     return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
 
 
-def _adjoint_product(A, s):
-    # conj(A^T conj(s)) is A^H s without the copy that A.conj() makes of a
-    # complex A; for a real A it is the same product, bit for bit
-    return _matmul(A.T, s.conj()).conj()
-
-
 def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, StepScratch]:
     """One iteration with per-element variances.
 
@@ -102,7 +97,7 @@ def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     col = model.abs2.T @ tau_s
     with np.errstate(divide="ignore"):
         tau_q = np.where(col > 0, 1.0 / np.where(col > 0, col, 1.0), np.inf)
-    q = _guarded_correction(state.x, tau_q, _adjoint_product(A, s))
+    q = _guarded_correction(state.x, tau_q, _matmul_h(A, s))
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var, s=s, t=state.t + 1)
     return new, StepScratch(tau_p=tau_p, p=p, tau_s=tau_s, s=s, tau_q=tau_q, q=q)
@@ -120,7 +115,7 @@ def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     s = tau_s * (model.y - p)
     denom = model.frob2 / model.N * tau_s
     tau_q = 1.0 / denom if denom > 0 else np.inf
-    q = _guarded_correction(state.x, tau_q, _adjoint_product(A, s))
+    q = _guarded_correction(state.x, tau_q, _matmul_h(A, s))
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var_scalar, s=s, t=state.t + 1)
     return new, StepScratch(tau_p=tau_p, p=p, tau_s=tau_s, s=s, tau_q=tau_q, q=q)
@@ -137,7 +132,7 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[So
     Outside the denoiser, every length-N array the step allocates is one
     it returns: p and q are built in the outputs of the two applies.  The
     elementwise chains here, in the applies and in the denoiser run on every
-    CPU from 2^16 entries up (model._blockwise); the reductions stay whole,
+    CPU from 2^16 entries up (_threads._blockwise); the reductions stay whole,
     so the iterate does not depend on the number of CPUs.
     """
     fact = tmodel.fact
@@ -252,7 +247,7 @@ def run(
         raise ValueError(f"x_tol must be positive, got {x_tol}")
 
     if algorithm == "utamp":
-        problem = tmodel = unitary_transform(model)
+        problem = tmodel = model.transformed
         dtype = np.result_type(tmodel.r.dtype, float)
         step = ut_amp_step
 
@@ -342,7 +337,7 @@ def lmmse_transformed(model: LinearModel, prior: GaussianPrior) -> np.ndarray:
         raise TypeError("lmmse_transformed needs a Gaussian prior")
     if prior.tau0.ndim != 0:
         raise ValueError("lmmse_transformed needs a scalar prior variance; use lmmse_solve")
-    tmodel = unitary_transform(model)
+    tmodel = model.transformed
     fact, tau0 = tmodel.fact, float(prior.tau0)
     x0 = prior.mean_vector(tmodel.N)
     return x0 + tau0 * fact.apply_avh((tmodel.r - fact.apply_av(x0)) / (tau0 * tmodel.lam_p + tmodel.sigma2))

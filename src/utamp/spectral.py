@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import GaussianPrior
-from .model import Factorization, LinearModel, svd_factorize
+from .model import Factorization, LinearModel, _noise_variance, svd_factorize
 
 __all__ = [
     "UnsupportedPriorError",
@@ -66,14 +66,6 @@ class SpectralCoefficients:
     shape: tuple[int, int]
     tau_x: float
     sigma2: float
-
-    @property
-    def M(self) -> int:
-        return self.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.shape[1]
 
 
 @dataclass(eq=False)
@@ -151,8 +143,7 @@ def variance_fixed_point(
     lam2 = np.abs(np.asarray(lam)) ** 2
     if lam2.size != min(m, n):
         raise ValueError(f"expected {min(m, n)} singular values for shape {shape}, got {lam2.size}")
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    sigma2 = _noise_variance(sigma2)
     tau0 = prior.variance_vector(n)
 
     if not np.any(lam2 > 0):

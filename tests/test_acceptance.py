@@ -29,7 +29,6 @@ from utamp import (
     spectral_coefficients,
     svd_factorize,
     synthesize_instance,
-    unitary_transform,
     ut_amp_step,
     variance_fixed_point,
 )
@@ -162,7 +161,7 @@ def test_criterion_3_error_contracts_at_certified_rate():
         model = make_instance(kind, m, n, seed, sigma2, kw, prior)
         cert = certify(model, prior)
         xstar = lmmse_oracle(model.A, model.y, sigma2, np.zeros(n), np.ones(n))
-        tm = unitary_transform(model)
+        tm = model.transformed
         state = initial_state("utamp", n, m, prior)
         errs = []
         for _ in range(120):
@@ -212,8 +211,8 @@ def test_criterion_5_circulant_fft_route_equals_dense_route():
     model = synthesize_instance(A, prior, sigma2=0.02, seed=5)
 
     fft_model = LinearModel(circulant_factorize(A[:, 0]), model.y, model.sigma2, model.x_true)
-    tm_fft = unitary_transform(fft_model)
-    tm_svd = unitary_transform(model)
+    tm_fft = fft_model.transformed
+    tm_svd = model.transformed
     s_fft = initial_state("utamp", 64, 64, prior, dtype=complex)
     s_svd = initial_state("utamp", 64, 64, prior)
     worst = 0.0

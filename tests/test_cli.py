@@ -246,6 +246,30 @@ def test_solve_rejects_non_finite_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("utamp: error: first column has non-finite")
 
 
+@pytest.mark.parametrize("sigma2", ["inf", "-1"])
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_non_finite_or_negative_sigma2_is_one_error_line(command, sigma2, capsys):
+    # an infinite sigma2 used to surface as "y has non-finite entries" from
+    # solve and as a ZeroDivisionError traceback from certify
+    assert main([command, "iid_gaussian", "20", "10", "--sigma2", sigma2]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"utamp: error: sigma2 must be positive and finite, got {float(sigma2)}"]
+
+
+@pytest.mark.parametrize("prior", ["gauss:mean=nan", "bg:rho=0.1,mu=nan", "bg:rho=0.1,v=inf"])
+def test_non_finite_prior_is_bad_input_not_divergence(prior, tmp_path, capsys):
+    # with --observations these priors used to run, diverge and exit 2
+    rng = np.random.default_rng(0)
+    save_matrix(tmp_path / "A.txt", rng.standard_normal((10, 6)))
+    save_vector(tmp_path / "y.txt", rng.standard_normal(10))
+    argv = ["solve", "--matrix", str(tmp_path / "A.txt"), "--observations", str(tmp_path / "y.txt"), "--prior", prior]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()], captured.err
+    assert captured.err.startswith(f"utamp: error: bad prior {prior!r}: "), captured.err
+    assert "diverged" not in captured.out
+
+
 def test_solve_dft_on_noncirculant_fails(tmp_path, capsys):
     rng = np.random.default_rng(1)
     save_matrix(tmp_path / "A.txt", rng.standard_normal((6, 6)))
@@ -426,7 +450,7 @@ def test_small_circulant_solve_starts_no_fft_threads(prior):
         "import sys, utamp.cli\n"
         "before = 'concurrent.futures' in sys.modules\n"
         f"code = utamp.cli.main(['solve', 'circulant', '4096', '4096', 'seed=2', '--seed', '2', '--prior', {prior!r}])\n"
-        "print('RESULT', code, before, 'concurrent.futures' in sys.modules, utamp.model._pool)\n"
+        "print('RESULT', code, before, 'concurrent.futures' in sys.modules, utamp._threads._pool)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

@@ -14,7 +14,7 @@ from utamp import (
     bg_denoise,
     gaussian_denoise,
 )
-from utamp import model as model_module
+from utamp import _threads
 
 
 # ---------------------------------------------------------------- oracles
@@ -105,6 +105,9 @@ def test_gaussian_prior_validation():
         GaussianPrior(tau0=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         gaussian_denoise(np.ones(2), -1.0, GaussianPrior())
+    for bad in (np.nan, np.inf, [0.0, -np.inf], complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="^x0 entries must be finite"):
+            GaussianPrior(x0=bad)
     with pytest.raises(ValueError):
         gaussian_denoise(np.ones(2), np.ones(3), GaussianPrior())
 
@@ -219,6 +222,11 @@ def test_bg_prior_validation():
         BernoulliGaussianPrior(rho=1.2)
     with pytest.raises(ValueError):
         BernoulliGaussianPrior(rho=0.5, v=0.0)
+    with pytest.raises(ValueError, match="^slab variance v must be positive and finite"):
+        BernoulliGaussianPrior(rho=0.5, v=np.inf)
+    for bad in (np.nan, np.inf, complex(1.0, np.inf)):
+        with pytest.raises(ValueError, match="^slab mean mu must be finite"):
+            BernoulliGaussianPrior(rho=0.5, mu=bad)
 
 
 # ---------------------------------------------------------------- shared
@@ -421,7 +429,7 @@ def test_scalar_stepsize_denoise_allocation(monkeypatch, denoise, prior, limit):
     # of 2^16 entries (0.25 x 16n here), which it held full-length before
     # (2.5 x 16n).  Each further worker adds a block's work arrays, so the
     # count is pinned.
-    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    monkeypatch.setattr(_threads, "_workers", lambda: 1)
     n = 2**18
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -440,7 +448,7 @@ def test_saturated_odds_raise_no_warning_on_the_worker_threads(monkeypatch):
     # each block enters its own.  With the slab at 1e8 and tau_q = v, q =
     # -1e8 gives m = 0 and exp(-t) overflows to inf (pi = 0, the exact
     # limit); q = 1e8 gives pi = 1.  Both sit in every block.
-    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    monkeypatch.setattr(_threads, "_workers", lambda: 2)
     n = 2**17
     q = np.tile([1e8, -1e8], n // 2)
     with warnings.catch_warnings():

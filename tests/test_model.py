@@ -32,11 +32,10 @@ from utamp import (
     save_vector,
     scaled_gram_diagonal,
     svd_factorize,
-    unitary_transform,
     ut_amp_step,
 )
 from utamp import matrixio
-from utamp import model as model_module
+from utamp import _threads
 from utamp.model import circulant_matrix
 
 
@@ -51,6 +50,9 @@ def test_linear_model_validation():
         LinearModel(A, y, 0.0)
     with pytest.raises(ValueError):
         LinearModel(A, y, -1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^sigma2 must be positive and finite"):
+            LinearModel(A, y, bad)
     with pytest.raises(ValueError):
         LinearModel(A, y, 0.5, x_true=np.ones(3))
     with pytest.raises(ValueError):
@@ -224,7 +226,7 @@ def test_svd_factorize_matches_gesdd_on_every_route(problem, bad):
     # UT-AMP and the transform-coordinate oracle on the parent's dense U_k
     prior = GaussianPrior()
     gesdd = SvdFactorization(lam=s, shape=A.shape, _UR=u, _V=vh)
-    tms = [unitary_transform(LinearModel(fact, y, 1e-3)) for fact in (f, gesdd)]
+    tms = [LinearModel(fact, y, 1e-3).transformed for fact in (f, gesdd)]
     states = [initial_state("utamp", n, m, prior, dtype=tm.r.dtype) for tm in tms]
     for _ in range(50):
         states = [ut_amp_step(state, tm, prior)[0] for state, tm in zip(states, tms)]
@@ -346,7 +348,7 @@ def test_unitary_transform_padding(shape):
     rng = np.random.default_rng(5)
     A = rng.standard_normal(shape)
     model = LinearModel(A, rng.standard_normal(shape[0]), 0.1)
-    t = unitary_transform(model)
+    t = model.transformed
     f = model.fact
     assert t.fact is f
     k = min(shape)
@@ -537,7 +539,7 @@ def _forking(workers):
     """matrixio's forked path at `workers` processes; at 1 it is the one-pass reader."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrixio, "_FORK_MIN", 1)
-        mp.setattr(model_module, "_workers", lambda: workers)
+        mp.setattr(_threads, "_workers", lambda: workers)
         yield
 
 
@@ -753,7 +755,7 @@ def test_real_svd_factor_applies_complex_vectors_without_casting():
     h, U_R = h.astype(complex), fact._UR.astype(complex)
 
     def uh_cast(y):
-        # U_R^H (Q^H y)[:k], the reflectors applied in the order _uh applies them
+        # U_R^H (Q^H y)[:k], the reflectors applied in the order transform applies them
         w = y.copy()
         for j in range(k):
             v = h[j, j:].copy()
@@ -764,7 +766,7 @@ def test_real_svd_factor_applies_complex_vectors_without_casting():
     cases = [
         (fact._v, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: V @ x),
         (fact._vh, rng.standard_normal(k) + 1j * rng.standard_normal(k), lambda z: V.conj().T @ z),
-        (fact._uh, rng.standard_normal(m) + 1j * rng.standard_normal(m), uh_cast),
+        (fact.apply_uh, rng.standard_normal(m) + 1j * rng.standard_normal(m), uh_cast),
         # its second product alone: the first is _v's
         (fact.matvec, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: U @ (fact.lam * fact._v(x))),
     ]
@@ -793,14 +795,14 @@ _KERNEL_LENGTHS = [2**18, 3 * 2**17, 65_537]
 
 @pytest.mark.parametrize("n", _KERNEL_LENGTHS)
 def test_fft_kernel_matches_numpy(n):
-    assert n >= model_module._FOUR_STEP_MIN
-    assert (model_module._four_step_plan(n) is None) == (n == 65_537)
+    assert n >= _threads._FOUR_STEP_MIN
+    assert (_threads._four_step_plan(n) is None) == (n == 65_537)
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for inverse, reference in [(False, np.fft.fft), (True, np.fft.ifft)]:
         for norm in ("ortho", "backward"):
             want = reference(x, norm=norm)
-            got = model_module._fft(x.copy(), inverse=inverse, norm=norm)
+            got = _threads._fft(x.copy(), inverse=inverse, norm=norm)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (inverse, norm)
 
 
@@ -838,7 +840,7 @@ def test_fft_kernel_does_not_depend_on_the_worker_count(monkeypatch, workers):
     x = np.random.default_rng(32).standard_normal(n) + 1j * np.random.default_rng(33).standard_normal(n)
     rng = np.random.default_rng(34)
     fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
-    tm = unitary_transform(LinearModel(fact, fact.matvec(x.real) + 0.03 * rng.standard_normal(n), 1e-3))
+    tm = LinearModel(fact, fact.matvec(x.real) + 0.03 * rng.standard_normal(n), 1e-3).transformed
     priors = [
         BernoulliGaussianPrior(rho=0.1),
         BernoulliGaussianPrior(rho=0.1, mu=0.5, complex_valued=True),
@@ -846,8 +848,8 @@ def test_fft_kernel_does_not_depend_on_the_worker_count(monkeypatch, workers):
     ]
     results = {}
     for count in (1, workers):
-        monkeypatch.setattr(model_module, "_workers", lambda: count)
-        results[count] = [model_module._fft(x.copy(), inverse=inverse).tobytes() for inverse in (False, True)]
+        monkeypatch.setattr(_threads, "_workers", lambda: count)
+        results[count] = [_threads._fft(x.copy(), inverse=inverse).tobytes() for inverse in (False, True)]
         for prior in priors:
             # the second step meets a nonzero s
             state = initial_state("utamp", n, n, prior, dtype=complex)
@@ -859,7 +861,7 @@ def test_fft_kernel_does_not_depend_on_the_worker_count(monkeypatch, workers):
 
 
 def test_fft_kernel_serves_concurrent_callers(monkeypatch):
-    monkeypatch.setattr(model_module, "_workers", lambda: 3)
+    monkeypatch.setattr(_threads, "_workers", lambda: 3)
     n = 2**16
     rng = np.random.default_rng(34)
     xs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(4)]
@@ -867,7 +869,7 @@ def test_fft_kernel_serves_concurrent_callers(monkeypatch):
 
     def call(i):
         for _ in range(5):
-            results[i].append(model_module._fft(xs[i].copy()))
+            results[i].append(_threads._fft(xs[i].copy()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -893,9 +895,9 @@ def test_blocked_denoiser_serves_concurrent_callers(monkeypatch):
     rng = np.random.default_rng(36)
     qs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)]
     prior = BernoulliGaussianPrior(rho=0.1)
-    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    monkeypatch.setattr(_threads, "_workers", lambda: 1)
     want = [bg_denoise(q, 0.3, prior) for q in qs]
-    monkeypatch.setattr(model_module, "_workers", lambda: 3)
+    monkeypatch.setattr(_threads, "_workers", lambda: 3)
     results = [[] for _ in qs]
 
     def call(i):
@@ -921,7 +923,7 @@ def test_blocked_denoiser_serves_concurrent_callers(monkeypatch):
 def _transform_in_forked_child():
     n = 2**17
     x = np.random.default_rng(35).standard_normal(n) + 0j
-    got = model_module._fft(x.copy())
+    got = _threads._fft(x.copy())
     if not np.max(np.abs(got - np.fft.fft(x, norm="ortho"))) <= 1e-13 * np.max(np.abs(got)):
         raise SystemExit(1)
 
@@ -930,9 +932,9 @@ def _transform_in_forked_child():
 def test_fft_kernel_runs_in_a_forked_child(monkeypatch):
     # the child inherits the parent's executor but none of its threads; a
     # transform handed to that executor would never finish
-    monkeypatch.setattr(model_module, "_workers", lambda: 2)
-    model_module._fft(np.ones(2**17, complex))
-    assert model_module._pool is not None
+    monkeypatch.setattr(_threads, "_workers", lambda: 2)
+    _threads._fft(np.ones(2**17, complex))
+    assert _threads._pool is not None
     child = multiprocessing.get_context("fork").Process(target=_transform_in_forked_child)
     child.start()
     child.join(timeout=60)

@@ -26,12 +26,11 @@ from utamp import (
     scalar_amp_step,
     svd_factorize,
     synthesize_instance,
-    unitary_transform,
     ut_amp_step,
     variance_fixed_point,
     vector_amp_step,
 )
-from utamp import model as model_module
+from utamp import _threads
 
 
 def lmmse_oracle(A, y, sigma2, x0, tau0):
@@ -112,7 +111,7 @@ def test_ut_step_matches_manual_computation():
         A = rng.standard_normal((m, n))
         prior = GaussianPrior(tau0=2.0)
         model = LinearModel(A, rng.standard_normal(m), 0.4)
-        tm = unitary_transform(model)
+        tm = model.transformed
         fact = model.fact
         state = initial_state("utamp", n, m, prior)
         state.x = rng.standard_normal(n)
@@ -160,8 +159,8 @@ def test_ut_step_dft_equals_svd_route():
     prior = GaussianPrior()
     model = synthesize_instance(A, prior, sigma2=0.1, seed=4)
 
-    td = unitary_transform(LinearModel(circulant_factorize(c), model.y, model.sigma2))
-    ts = unitary_transform(model)
+    td = LinearModel(circulant_factorize(c), model.y, model.sigma2).transformed
+    ts = model.transformed
     sd = initial_state("utamp", 16, 16, prior, dtype=complex)
     ss = initial_state("utamp", 16, 16, prior)
     for _ in range(10):
@@ -231,7 +230,7 @@ def test_utamp_matches_full_svd_oracle(case):
         lam_p=np.sum(full.lam_full**2, axis=1),
     )
     want, want_status = _ut_iterates(oracle, model, prior, max_iters=500, x_tol=1e-12)
-    thin = unitary_transform(model)
+    thin = model.transformed
     got, got_status = _ut_iterates(thin, model, prior, max_iters=500, x_tol=1e-12)
 
     assert want_status == got_status == "converged"
@@ -256,8 +255,8 @@ def test_matrix_free_circulant_matches_dense_model():
     drawn = synthesize_instance(A, prior, sigma2=0.02, seed=4)
     dense = LinearModel(circulant_factorize(A[:, 0]), drawn.y, drawn.sigma2, drawn.x_true)
 
-    got, got_status = _ut_iterates(unitary_transform(free), free, prior, 500, 1e-12)
-    want, want_status = _ut_iterates(unitary_transform(dense), dense, prior, 500, 1e-12)
+    got, got_status = _ut_iterates(free.transformed, free, prior, 500, 1e-12)
+    want, want_status = _ut_iterates(dense.transformed, dense, prior, 500, 1e-12)
     assert got_status == want_status == "converged" and len(got) == len(want)
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
     assert worst <= 1e-12, f"iterates differ by {worst:.2e}"
@@ -406,7 +405,7 @@ def test_identity_matrix_hits_posterior_within_three_iterations():
     prior = GaussianPrior()
     model = synthesize_instance(np.eye(16), prior, sigma2=0.5, seed=3)
     xstar = lmmse_oracle(np.eye(16), model.y, 0.5, np.zeros(16), np.ones(16))
-    tm = unitary_transform(model)
+    tm = model.transformed
     state = initial_state("utamp", 16, 16, prior)
     errs = []
     for _ in range(3):
@@ -527,7 +526,7 @@ def test_applies_and_step_leave_their_inputs_unchanged(name):
         assert _frozen(x, s, y) == before
 
     prior = BernoulliGaussianPrior(rho=0.3)
-    tm = unitary_transform(LinearModel(fact, rng.standard_normal(m), 0.1))
+    tm = LinearModel(fact, rng.standard_normal(m), 0.1).transformed
     state = initial_state("utamp", n, m, prior, dtype=tm.r.dtype)
     for _ in range(3):
         before = _frozen(state.x, state.s, tm.r, tm.lam_p)
@@ -638,7 +637,7 @@ def test_ut_step_is_bit_identical_to_the_out_of_place_step(case):
     m, n = fact.shape
     rng = np.random.default_rng(24)
     y = rng.standard_normal(m) if y is None else y
-    tm = unitary_transform(LinearModel(fact, y, 0.05))
+    tm = LinearModel(fact, y, 0.05).transformed
     state = initial_state("utamp", n, m, prior, dtype=dtype)
     for _ in range(4):
         want = _reference_ut_step(state, tm, prior)
@@ -662,13 +661,13 @@ def test_ut_step_allocates_little_beyond_what_it_returns(monkeypatch):
     # entries to 0.25 x 16n more per worker, so the count is pinned.  With
     # full-length work arrays the step peaked at 6.5 x 16n, and out of place
     # at 8.5 x 16n
-    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    monkeypatch.setattr(_threads, "_workers", lambda: 1)
     n = 2**18
     rng = np.random.default_rng(25)
     fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
     prior = BernoulliGaussianPrior(rho=0.1)
     y = fact.matvec(prior.sample(n, rng)) + 0.03 * rng.standard_normal(n)
-    tm = unitary_transform(LinearModel(fact, y, 1e-3))
+    tm = LinearModel(fact, y, 1e-3).transformed
     state, _ = ut_amp_step(initial_state("utamp", n, n, prior, dtype=complex), tm, prior)
     tracemalloc.start()
     try:
@@ -682,13 +681,13 @@ def test_ut_step_allocates_little_beyond_what_it_returns(monkeypatch):
 _THREADS_SCRIPT = """
 import hashlib
 import numpy as np
-from utamp import BernoulliGaussianPrior, LinearModel, circulant_factorize, initial_state, unitary_transform, ut_amp_step
+from utamp import BernoulliGaussianPrior, LinearModel, circulant_factorize, initial_state, ut_amp_step
 n = 2**16
 rng = np.random.default_rng(5)
 fact = circulant_factorize(rng.standard_normal(n) / np.sqrt(n))
 prior = BernoulliGaussianPrior(rho=0.1)
 y = fact.matvec(prior.sample(n, rng)) + 0.03 * rng.standard_normal(n)
-tm = unitary_transform(LinearModel(fact, y, 1e-3))
+tm = LinearModel(fact, y, 1e-3).transformed
 state = initial_state("utamp", n, n, prior, dtype=complex)
 for _ in range(5):
     state, _ = ut_amp_step(state, tm, prior)
@@ -709,7 +708,7 @@ def test_ut_step_iterate_does_not_depend_on_blas_threads():
 
 def test_ut_steps_on_the_four_step_fft_match_pocketfft(monkeypatch):
     n = 2**18
-    assert n >= model_module._FOUR_STEP_MIN
+    assert n >= _threads._FOUR_STEP_MIN
     rng = np.random.default_rng(27)
     taps = rng.standard_normal(n) / np.sqrt(n)
     prior = BernoulliGaussianPrior(rho=0.1)
@@ -717,14 +716,14 @@ def test_ut_steps_on_the_four_step_fft_match_pocketfft(monkeypatch):
 
     def iterate():
         fact = circulant_factorize(taps)
-        tm = unitary_transform(LinearModel(fact, y, 1e-3))
+        tm = LinearModel(fact, y, 1e-3).transformed
         state = initial_state("utamp", n, n, prior, dtype=complex)
         for _ in range(20):
             state, _ = ut_amp_step(state, tm, prior)
         return state.x
 
     got = iterate()
-    monkeypatch.setattr(model_module, "_FOUR_STEP_MIN", 2**62)
+    monkeypatch.setattr(_threads, "_FOUR_STEP_MIN", 2**62)
     want = iterate()
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

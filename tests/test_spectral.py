@@ -62,6 +62,9 @@ def test_fixed_point_input_validation():
         variance_fixed_point(np.ones(3), 1.0, GaussianPrior(), (4, 4))
     with pytest.raises(ValueError):
         variance_fixed_point(np.ones(3), 0.0, GaussianPrior(), (3, 3))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^sigma2 must be positive and finite"):
+            variance_fixed_point(np.ones(3), bad, GaussianPrior(), (3, 3))
 
 
 # ------------------------------------------------------------- coefficients
@@ -74,7 +77,7 @@ def test_coefficients_hand_case():
     c = spectral_coefficients(fp, np.array([1.0, 2.0]), 1.0, (2, 3))
     assert np.allclose(c.betas, [0.5, 0.8])
     assert np.isclose(c.alpha, 1.3 / 3.0)
-    assert c.M == 2 and c.N == 3
+    assert c.shape == (2, 3)
 
 
 def test_alpha_equals_stepsize_ratio_at_fixed_point():
