@@ -1,9 +1,9 @@
 """The worker threads of the package and the FFT that runs on them.
 
-_fft is the one FFT kernel of the DFT route; it runs a long transform as a
-threaded four-step FFT.  Its worker threads (_split) also run a step's long
-elementwise chains in cache-sized blocks (_blockwise), and _workers is the
-CPU count that matrixio's forked file I/O reads as well.
+_fft is the one FFT kernel of the DFT route; a long transform runs as a
+threaded four-step FFT, in place and in its own output order (_order).  The
+threads (_split) also run a step's long elementwise chains in cache-sized
+blocks (_blockwise); matrixio's forked file I/O reads _workers as well.
 """
 
 from __future__ import annotations
@@ -28,12 +28,23 @@ _pool_lock = threading.Lock()
 
 
 def _fft(z: np.ndarray, inverse: bool = False, norm: str = "ortho") -> np.ndarray:
-    """np.fft.fft (or ifft) of the complex128 vector z, for norm "ortho" or
-    "backward".  z may be overwritten; the result is z or a fresh array."""
+    """The DFT (or its inverse) of the complex128 vector z, in place, for norm
+    "ortho" or "backward"; returns z.  The forward result is in _order's
+    order and the inverse takes its input in that order."""
     plan = _four_step_plan(z.size) if z.size >= _FOUR_STEP_MIN else None
     if plan is None:
         return (np.fft.ifft if inverse else np.fft.fft)(z, norm=norm, out=z)
     return _four_step(z, *plan, norm, inverse)
+
+
+def _order(n: int):
+    """The index that puts the DFT in _fft's order: _fft(z) is
+    np.fft.fft(z)[_order(z.size)]; slice(None) where no four-step runs."""
+    plan = _four_step_plan(n) if n >= _FOUR_STEP_MIN else None
+    if plan is None:
+        return slice(None)
+    n1, n2, _ = plan
+    return np.add.outer(np.arange(n2), n2 * np.arange(n1)).ravel()
 
 
 @lru_cache(maxsize=2)
@@ -49,46 +60,42 @@ def _four_step_plan(n: int):
     # angle is rounded once
     angle = np.multiply.outer(np.arange(n2, dtype=float), np.arange(n1, dtype=float))
     np.fmod(angle, n, out=angle)
-    angle *= 2.0 * np.pi / n
+    angle *= -2.0 * np.pi / n
     tw = np.empty(angle.shape, np.complex128)
     np.cos(angle, out=tw.real)
     np.sin(angle, out=tw.imag)
-    np.negative(tw.imag, out=tw.imag)
     tw.flags.writeable = False
     return n1, n2, tw
 
 
 def _four_step(z: np.ndarray, n1: int, n2: int, tw: np.ndarray, norm: str, inverse: bool) -> np.ndarray:
-    """The DFT of z (length n = n1 n2) as n1 length-n2 transforms, the
-    twiddles, then n2 length-n1 transforms written transposed into a fresh
-    result (Bailey's four-step FFT); z is overwritten.  Each batch is split
-    across the worker threads; every transform is computed whole by one
-    thread, so the result does not depend on their number."""
-    n = z.size
+    """The DFT of z (length n = n1 n2) in place by Bailey's four-step FFT without
+    its transpose: length-n2 column FFTs, twiddles, length-n1 row FFTs, so that
+    X[k2 + n2 k1] lands in z[k1 + n1 k2]; the inverse runs the steps backwards, to
+    natural order.  The workers split each batch (the rows in cache-sized blocks),
+    and each transform runs whole on one thread, so no bit depends on their number."""
     a = z.reshape(n2, n1)  # a[j2, j1] = z[j1 + n1 j2]
-    if inverse:
-        # ifft(z)[k] = fft(z)[(n - k) % n] / n: the forward transform is
-        # written backwards into a buffer one entry longer, so its entry 0
-        # lands in buf[n] and is moved to the front at the end
-        buf = np.empty(n + 1, np.complex128)
-        out, dst = buf[:n], buf[::-1][:n]
-        norm = {"ortho": "ortho", "backward": "forward"}[norm]
-    else:
-        out = dst = np.empty(n, np.complex128)
-    o = dst.reshape(n1, n2).T  # o[k2, k1] = dst[k2 + n2 k1]
+    fft = np.fft.ifft if inverse else np.fft.fft
 
     def columns(c):
-        np.fft.fft(a[:, c], axis=0, norm=norm, out=a[:, c])
+        fft(a[:, c], axis=0, norm=norm, out=a[:, c])
 
-    def rows(c):
-        np.multiply(a[c], tw[c], out=a[c])
-        np.fft.fft(a[c], axis=1, norm=norm, out=o[c])
+    def rows(r):
+        ar = a[r]
+        if inverse:
+            fft(ar, axis=1, norm=norm, out=ar)
+            # a conj(tw) as conj(conj(a) tw): the same bits, and no conjugated table
+            np.conjugate(ar, out=ar)
+            np.multiply(ar, tw[r], out=ar)
+            np.conjugate(ar, out=ar)
+        else:
+            np.multiply(ar, tw[r], out=ar)
+            fft(ar, axis=1, norm=norm, out=ar)
 
-    _split(columns, n1)
-    _split(rows, n2)
-    if inverse:
-        out[0] = buf[n]
-    return out
+    passes = [(columns, n1, 0), (rows, n2, max(1, _FOUR_STEP_MIN // n1))]
+    for fn, m, step in passes[::-1] if inverse else passes:
+        _split(fn, m, step)
+    return z
 
 
 def _workers() -> int:
@@ -99,19 +106,24 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _split(fn, m: int) -> None:
-    """Call fn on contiguous slices of range(m), one per worker; the calling
-    thread takes the first.  fn must not call _split: the pool has one
-    thread fewer than there are workers, so a nested call can deadlock."""
+def _split(fn, m: int, step: int = 0) -> None:
+    """Call fn on slices of range(m), one part per worker (the caller takes the
+    first), each walked at most step at a time (whole when 0).  fn must not call
+    _split: the pool has one thread fewer than the workers, so nesting can deadlock."""
     k = min(_workers(), m)
     bounds = [m * i // k for i in range(k + 1)]
-    parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    futures = [_executor().submit(fn, part) for part in parts[1:]]
+
+    def walk(lo, hi):
+        size = step or hi - lo
+        for b in range(lo, hi, size):
+            fn(slice(b, min(b + size, hi)))
+
+    futures = [_executor().submit(walk, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
     try:
-        fn(parts[0])
+        walk(bounds[0], bounds[1])
     finally:
         for f in futures:
-            f.exception()  # wait for every worker before z or out is freed
+            f.exception()  # wait for every worker before z is freed
     for f in futures:
         f.result()
 
@@ -123,14 +135,8 @@ def _blockwise(fn, n: int) -> None:
     worker does not inherit the caller's np.errstate; fn enters its own.  fn
     takes each view once, so numpy skips its overlap check on out=."""
     if n < _FOUR_STEP_MIN:
-        fn(slice(0, n))
-        return
-
-    def walk(part):
-        for lo in range(part.start, part.stop, _FOUR_STEP_MIN):
-            fn(slice(lo, min(lo + _FOUR_STEP_MIN, part.stop)))
-
-    _split(walk, n)
+        return fn(slice(0, n))
+    _split(fn, n, _FOUR_STEP_MIN)
 
 
 def _executor():

@@ -65,8 +65,10 @@ class EnsembleSpec:
             raise ValueError(f"dimensions must be positive, got {self.M} x {self.N}")
         if self.kind == "circulant" and self.M != self.N:
             raise ValueError(f"circulant matrices are square, got {self.M} x {self.N}")
-        if self.condition_number is not None and not self.condition_number >= 1.0:
-            raise ValueError(f"condition_number must be >= 1, got {self.condition_number}")
+        if self.condition_number is not None and not 1.0 <= self.condition_number < np.inf:
+            raise ValueError(f"condition_number must be >= 1 and finite, got {self.condition_number}")
+        if self.mean_shift is not None and not np.isfinite(self.mean_shift):
+            raise ValueError(f"mean_shift must be finite, got {self.mean_shift}")
         if self.rank is not None and not 1 <= self.rank <= min(self.M, self.N):
             raise ValueError(f"rank must lie in [1, {min(self.M, self.N)}], got {self.rank}")
         if self.correlation is not None and not 0.0 <= self.correlation < 1.0:

@@ -9,8 +9,8 @@ SvdFactorization stores thin singular factors, a tall A's U_k only as the
 Householder reflectors of a QR factorization and the k x k U_R of an SVD of
 its triangle; DftFactorization applies the DFT of a circulant A by FFTs,
 densifies A from its first column, and builds U or V only when read.  Every
-FFT of a DftFactorization goes through _threads._fft, and the applies run
-their elementwise passes in blocks on its worker threads (_blockwise).
+FFT of a DftFactorization goes through _threads._fft, in _fft's order, and
+the applies run their elementwise passes in blocks on its worker threads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._threads import _blockwise, _fft
+from ._threads import _blockwise, _fft, _order
 
 __all__ = [
     "LinearModel",
@@ -132,13 +132,8 @@ class LinearModel:
     @cached_property
     def transformed(self) -> TransformedModel:
         """The model after left-multiplying by U^H, computed on first read, so
-        that run and lmmse_transformed share one transform.
-
-        r = U^H y (length M) for U_k completed by the normalized part of y
-        outside its range: r[:k] = U_k^H y, r[k] = ||y - U_k U_k^H y|| when
-        M > k, zeros after.  So ||r - Lam V x|| = ||y - A x|| for every x.
-        The factorization computes it (Factorization.transform) without U_k.
-        """
+        that run and lmmse_transformed share one transform: r = U^H y from
+        fact.transform, with ||r - Lam V x|| = ||y - A x|| for every x."""
         fact = self.fact
         lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.M - fact.lam.size))
         return TransformedModel(fact=fact, r=fact.transform(self.y), sigma2=self.sigma2, lam_p=lam_p)
@@ -268,14 +263,11 @@ def _matmul_h(F: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class DftFactorization(Factorization):
-    """Circulant A: U = F^H and V = F for the normalized DFT F, applied by
-    FFTs; lam holds the eigenvalues of A (possibly complex, in DFT order).
-    A densifies from its first column; F is built only when U or V is read."""
+    """Circulant A: U = V^H, V the normalized DFT with rows in _fft's order
+    (DFT order below 2^16 and for prime N), by FFTs; lam holds A's possibly
+    complex eigenvalues in that order.  A densifies from its first column."""
 
-    @cached_property
-    def V(self) -> np.ndarray:
-        return np.fft.fft(np.eye(self.N), axis=0, norm="ortho")
-
+    V = cached_property(lambda self: np.fft.fft(np.eye(self.N), axis=0, norm="ortho")[_order(self.N)])
     U = property(lambda self: self.V.conj().T)
 
     def _v(self, x: np.ndarray) -> np.ndarray:
@@ -284,7 +276,7 @@ class DftFactorization(Factorization):
     def _vh(self, z: np.ndarray) -> np.ndarray:
         return _fft(z, inverse=True)
 
-    transform = _v  # U^H = F = V
+    transform = _v  # U^H = V
 
     @cached_property
     def column(self) -> np.ndarray:
@@ -300,7 +292,7 @@ class DftFactorization(Factorization):
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x by two FFTs, real exactly when A and x are, as for A @ x."""
         fx = _fft(np.array(x, dtype=np.complex128), norm="backward")
-        ax = _fft(self.lam * fx, inverse=True, norm="backward")
+        ax = _fft(np.multiply(self.lam, fx, out=fx), inverse=True, norm="backward")
         return ax.real if np.isrealobj(x) and np.isrealobj(self.column) else ax
 
 
@@ -342,8 +334,8 @@ def svd_factorize(A) -> SvdFactorization:
 def circulant_factorize(first_column) -> DftFactorization:
     """Factorize the circulant matrix with the given first column.
 
-    The eigenvalues are the unnormalized DFT of the first column; U and V
-    stay implicit (FFT-applied) so the factorization is O(N log N) to use.
+    The eigenvalues are the unnormalized DFT of the first column in V's order;
+    U and V stay implicit (FFT-applied) so the factorization is O(N log N).
     """
     c = _as_float_or_complex(np.asarray(first_column))
     if c.ndim != 1 or c.size < 1:

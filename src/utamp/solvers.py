@@ -243,8 +243,8 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if not x_tol > 0:
-        raise ValueError(f"x_tol must be positive, got {x_tol}")
+    if not 0.0 < x_tol < np.inf:
+        raise ValueError(f"x_tol must be positive and finite, got {x_tol}")
 
     if algorithm == "utamp":
         problem = tmodel = model.transformed

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,28 @@ def test_non_finite_or_negative_sigma2_is_one_error_line(command, sigma2, capsys
     assert main([command, "iid_gaussian", "20", "10", "--sigma2", sigma2]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"utamp: error: sigma2 must be positive and finite, got {float(sigma2)}"]
+
+
+@pytest.mark.parametrize("x_tol", ["inf", "0", "nan"])
+def test_bad_x_tol_exits_1(x_tol, capsys):
+    # an infinite tolerance used to report "converged" after one iteration
+    assert main(["solve", "iid_gaussian", "20", "10", "--x-tol", x_tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"utamp: error: x_tol must be positive and finite, got {float(x_tol)}"]
+    assert "converged" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "knob, field", [("kappa=inf", "condition_number"), ("kappa=nan", "condition_number"), ("mu_a=inf", "mean_shift"), ("mu_a=nan", "mean_shift")]
+)
+def test_non_finite_ensemble_knob_is_one_error_line(knob, field, capsys):
+    # these used to print a numpy RuntimeWarning, then "A has non-finite entries"
+    kind = "ill_conditioned" if field == "condition_number" else "nonzero_mean"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", kind, "20", "10", knob]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith(f"utamp: error: {field} must be"), err
 
 
 @pytest.mark.parametrize("prior", ["gauss:mean=nan", "bg:rho=0.1,mu=nan", "bg:rho=0.1,v=inf"])

@@ -30,6 +30,12 @@ def test_spec_validation():
         EnsembleSpec(kind="column_correlated", M=4, N=4, correlation=1.0)
     with pytest.raises(ValueError):
         EnsembleSpec(kind="circulant", M=4, N=4, taps=np.ones(3))
+    # a non-finite kappa or mean shift is named here, not later as "A has
+    # non-finite entries"
+    for knob, kind in (("condition_number", "ill_conditioned"), ("mean_shift", "nonzero_mean")):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{knob} must be"):
+                EnsembleSpec(kind=kind, M=4, N=4, **{knob: bad})
 
 
 def test_streams_are_reproducible_and_independent():

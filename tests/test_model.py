@@ -799,11 +799,52 @@ def test_fft_kernel_matches_numpy(n):
     assert (_threads._four_step_plan(n) is None) == (n == 65_537)
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for inverse, reference in [(False, np.fft.fft), (True, np.fft.ifft)]:
-        for norm in ("ortho", "backward"):
-            want = reference(x, norm=norm)
-            got = _threads._fft(x.copy(), inverse=inverse, norm=norm)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (inverse, norm)
+    # the forward result is in _order's order, and the inverse takes its
+    # input in that order
+    order = _threads._order(n)
+    for norm in ("ortho", "backward"):
+        want = np.fft.fft(x, norm=norm)[order]
+        got = _threads._fft(x.copy(), norm=norm)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (False, norm)
+        want = np.fft.ifft(x, norm=norm)
+        got = _threads._fft(x[order].copy(), inverse=True, norm=norm)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (True, norm)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fft_kernel_allocates_no_length_n_array(inverse):
+    # the four-step works in place in both directions: no transposed result
+    # and no reversal buffer, each of which took 16 n bytes
+    n = 2**17
+    assert _threads._four_step_plan(n) is not None  # built outside the trace
+    z = np.random.default_rng(37).standard_normal(n) + 1j
+    tracemalloc.start()
+    try:
+        got = _threads._fft(z, inverse=inverse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is z
+    assert peak < z.nbytes / 4, f"peak {peak / z.nbytes:.2f} x 16 n bytes"
+
+
+@pytest.mark.parametrize("complex_taps", [False, True])
+def test_circulant_column_and_matvec_at_a_four_step_length(complex_taps):
+    # lam is in _fft's order there; column and matvec give DFT-order results
+    n = 2**17
+    assert _threads._four_step_plan(n) is not None
+    rng = np.random.default_rng(38)
+    c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_taps else 0)
+    x = rng.standard_normal(n)
+    fact = circulant_factorize(c)
+    want = np.fft.fft(c)[_threads._order(n)]
+    assert np.max(np.abs(fact.lam - want)) <= 1e-13 * np.max(np.abs(want))
+    assert fact.column.dtype == c.dtype
+    assert np.max(np.abs(fact.column - c)) <= 1e-13 * np.max(np.abs(c))
+    want = np.fft.ifft(np.fft.fft(c) * np.fft.fft(x))
+    got = fact.matvec(x)
+    assert got.dtype == (np.complex128 if complex_taps else np.float64)
+    assert np.max(np.abs(got - (want if complex_taps else want.real))) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", _KERNEL_LENGTHS)
@@ -818,14 +859,15 @@ def test_large_dft_applies_are_adjoint_and_keep_their_contract(n):
     assert not np.shares_memory(ax, x) and not np.shares_memory(ahs, s)
     assert abs(np.vdot(s, ax) - np.vdot(ahs, x)) <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(ax)
 
-    # _v leaves its argument alone and returns a fresh array; _vh may
-    # overwrite its argument
+    # _v leaves its argument alone and returns a fresh array, the DFT in
+    # _order's order; _vh may overwrite its argument, taken in that order
+    order = _threads._order(n)
     for vec in (x, x.real.copy()):
         frozen = vec.tobytes()
         z = fact._v(vec)
         assert vec.tobytes() == frozen and not np.shares_memory(z, vec)
-        assert np.max(np.abs(z - np.fft.fft(vec, norm="ortho"))) <= 1e-13 * np.max(np.abs(z))
-    z = s.copy()
+        assert np.max(np.abs(z - np.fft.fft(vec, norm="ortho")[order])) <= 1e-13 * np.max(np.abs(z))
+    z = s[order].copy()
     back = fact._vh(z)
     assert np.max(np.abs(back - np.fft.ifft(s, norm="ortho"))) <= 1e-13 * np.max(np.abs(back))
 
@@ -883,7 +925,7 @@ def test_fft_kernel_serves_concurrent_callers(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for x, got in zip(xs, results):
-        want = np.fft.fft(x, norm="ortho")
+        want = np.fft.fft(x, norm="ortho")[_threads._order(n)]
         assert len(got) == 5
         assert all(np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want)) for g in got)
 
@@ -924,7 +966,7 @@ def _transform_in_forked_child():
     n = 2**17
     x = np.random.default_rng(35).standard_normal(n) + 0j
     got = _threads._fft(x.copy())
-    if not np.max(np.abs(got - np.fft.fft(x, norm="ortho"))) <= 1e-13 * np.max(np.abs(got)):
+    if not np.max(np.abs(got - np.fft.fft(x, norm="ortho")[_threads._order(n)])) <= 1e-13 * np.max(np.abs(got)):
         raise SystemExit(1)
 
 

@@ -355,8 +355,9 @@ def test_run_argument_validation():
     prior = GaussianPrior()
     with pytest.raises(ValueError):
         run("vector", model, prior, max_iters=-1)
-    with pytest.raises(ValueError):
-        run("vector", model, prior, x_tol=0.0)
+    for x_tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="x_tol"):
+            run("vector", model, prior, x_tol=x_tol)
     with pytest.raises(ValueError):
         run("newton", model, prior)
 
