@@ -181,6 +181,8 @@ def _resolve_problem(args, prior):
         y = load_vector(args.observations)
         if y.shape[0] != A.shape[0]:
             raise CliError(f"observations have length {y.shape[0]}, matrix has {A.shape[0]} rows")
+        if np.iscomplexobj(y):
+            prior.complex_valued = True
         model = LinearModel(A=A, y=y, sigma2=args.sigma2, x_true=None)
     else:
         model = synthesize_instance(A, prior, sigma2=args.sigma2, seed=args.seed)
@@ -380,9 +382,16 @@ def _apply_config(parser, argv):
             raise CliError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(values, dict):
             raise CliError(f"config {path} must hold a JSON object")
+        # argparse converts only string defaults, so each value goes in as
+        # the string its flag would read; a switch takes only true or false
         for sp in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in values.items() if k in known})
+            for a in (a for a in sp._actions if a.dest in values):
+                v = values[a.dest]
+                if a.nargs != 0:
+                    v = [str(t) for t in v] if a.nargs == "*" and isinstance(v, list) else str(v)
+                elif not isinstance(v, bool):
+                    raise CliError(f"config {path}: {a.dest} must be true or false, got {v!r}")
+                a.default = v
 
 
 def main(argv=None) -> int:

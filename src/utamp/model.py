@@ -265,8 +265,10 @@ def _matmul_h(F: np.ndarray, z: np.ndarray) -> np.ndarray:
 class DftFactorization(Factorization):
     """Circulant A: U = V^H, V the normalized DFT with rows in _fft's order
     (DFT order below 2^16 and for prime N), by FFTs; lam holds A's possibly
-    complex eigenvalues in that order.  A densifies from its first column."""
+    complex eigenvalues in that order.  column is A's first column as it was
+    given, which A densifies from."""
 
+    column: np.ndarray = field(repr=False)
     V = cached_property(lambda self: np.fft.fft(np.eye(self.N), axis=0, norm="ortho")[_order(self.N)])
     U = property(lambda self: self.V.conj().T)
 
@@ -277,13 +279,6 @@ class DftFactorization(Factorization):
         return _fft(z, inverse=True)
 
     transform = _v  # U^H = V
-
-    @cached_property
-    def column(self) -> np.ndarray:
-        """First column of A.  It is real when its imaginary part is FFT
-        rounding (below 1e-12 of its norm), so real taps give back a real A."""
-        c = _fft(np.array(self.lam, dtype=np.complex128), inverse=True, norm="backward")
-        return c.real if np.linalg.norm(c.imag) <= 1e-12 * np.linalg.norm(c) else c
 
     def reconstruct(self) -> np.ndarray:
         """Densify A from its first column, without the DFT matrix."""
@@ -336,12 +331,16 @@ def circulant_factorize(first_column) -> DftFactorization:
 
     The eigenvalues are the unnormalized DFT of the first column in V's order;
     U and V stay implicit (FFT-applied) so the factorization is O(N log N).
+    The column is held, not copied, when it is a contiguous float64 or
+    complex128 vector (a strided view, such as A[:, 0], is copied so that it
+    does not keep A alive); the caller must not write to it.
     """
-    c = _as_float_or_complex(np.asarray(first_column))
+    c = _as_float_or_complex(first_column)
     if c.ndim != 1 or c.size < 1:
         raise FactorizationError(f"first column must be a nonempty 1-D array, got shape {c.shape}")
+    c = np.ascontiguousarray(c)
     lam = _fft(np.array(_finite(c, "first column"), dtype=np.complex128), norm="backward")
-    return DftFactorization(lam=lam, shape=(c.size, c.size))
+    return DftFactorization(lam=lam, shape=(c.size, c.size), column=c)
 
 
 def circulant_matrix(first_column) -> np.ndarray:

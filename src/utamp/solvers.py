@@ -221,6 +221,9 @@ def initial_state(algorithm: str, n: int, m: int, prior, dtype=float) -> SolverS
     return SolverState(x=x, tau_x=tau_x, s=s, t=0)
 
 
+_DIVERGENCE_NORM = 1e12  # an iterate whose norm passes this has diverged
+
+
 def run(
     algorithm: str,
     model: LinearModel,
@@ -228,16 +231,17 @@ def run(
     *,
     max_iters: int = 1000,
     x_tol: float = 1e-10,
-    divergence_norm: float = 1e12,
 ) -> tuple[SolverState, Trace]:
     """Drive one of the three kernels to termination.
 
     utamp iterates on the model's factorization (model.fact).
 
     Stops when the relative change of x drops to x_tol (converged), after
-    max_iters iterations (max_iters), or when the estimate blows past
-    divergence_norm or goes non-finite (diverged).  max_iters = 0 is valid
-    and returns the initial state untouched.
+    max_iters iterations (max_iters), or when the estimate goes non-finite
+    or its norm passes _DIVERGENCE_NORM (diverged).  max_iters = 0 is valid
+    and returns the initial state untouched.  The initial state and every
+    iterate are recorded alike; each record's residual is ||y - A x||, which
+    utamp reads as ||r - Lam V x|| on its factorization.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -247,61 +251,41 @@ def run(
         raise ValueError(f"x_tol must be positive and finite, got {x_tol}")
 
     if algorithm == "utamp":
-        problem = tmodel = model.transformed
-        dtype = np.result_type(tmodel.r.dtype, float)
+        problem = model.transformed
+        target, product = problem.r, problem.fact.apply_av
+        dtype = np.result_type(problem.r.dtype, float)
         step = ut_amp_step
-
-        def residual(x):
-            return float(np.linalg.norm(tmodel.r - tmodel.fact.apply_av(x)))
-
     else:
         problem = model
+        target, product = model.y, lambda x: _matmul(model.A, x)
         dtype = np.result_type(model.A.dtype, model.y.dtype)
         step = vector_amp_step if algorithm == "vector" else scalar_amp_step
 
-        def residual(x):
-            return float(np.linalg.norm(model.y - _matmul(model.A, x)))
-
     state = initial_state(algorithm, model.N, model.M, prior, dtype=dtype)
-    trace = Trace()
-
-    def mse(x):
-        if model.x_true is None:
-            return None
-        return float(np.mean(np.abs(x - model.x_true) ** 2))
-
-    trace.append(
-        t=0,
-        tau_x=state.tau_x_mean(),
-        tau_q=None,
-        residual=residual(state.x),
-        rel_change=None,
-        mse=mse(state.x),
-    )
-
-    for _ in range(max_iters):
-        prev_x = state.x
-        state, scratch = step(state, problem, prior)
-        norm = float(np.linalg.norm(state.x))
-        rel = float(np.linalg.norm(state.x - prev_x)) / max(norm, 1e-300)
-        tau_q_mean = float(np.mean(scratch.tau_q))
+    trace, tau_q, rel = Trace(), None, None
+    while True:
+        x = state.x
         trace.append(
             t=state.t,
             tau_x=state.tau_x_mean(),
-            tau_q=tau_q_mean,
-            residual=residual(state.x),
+            tau_q=tau_q,
+            residual=float(np.linalg.norm(target - product(x))),
             rel_change=rel,
-            mse=mse(state.x),
+            mse=None if model.x_true is None else float(np.mean(np.abs(x - model.x_true) ** 2)),
         )
-        if not np.all(np.isfinite(state.x)) or norm > divergence_norm:
+        if state.t and (not np.all(np.isfinite(x)) or norm > _DIVERGENCE_NORM):
             trace.status = "diverged"
-            return state, trace
-        if rel <= x_tol:
+        elif state.t and rel <= x_tol:
             trace.status = "converged"
-            return state, trace
-
-    trace.status = "max_iters"
-    return state, trace
+        elif state.t == max_iters:
+            trace.status = "max_iters"
+        else:
+            state, scratch = step(state, problem, prior)
+            norm = float(np.linalg.norm(state.x))
+            rel = float(np.linalg.norm(state.x - x)) / max(norm, 1e-300)
+            tau_q = float(np.mean(scratch.tau_q))
+            continue
+        return state, trace
 
 
 def lmmse_solve(model: LinearModel, prior: GaussianPrior) -> np.ndarray:

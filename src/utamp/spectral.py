@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# variance_fixed_point's bracket closes at this relative width, within this many evaluations
+_FIXED_POINT_TOL, _FIXED_POINT_MAX_EVALS = 1e-14, 200
+
+
 class UnsupportedPriorError(TypeError):
     """The certification analysis only covers Gaussian priors."""
 
@@ -117,8 +121,6 @@ def variance_fixed_point(
     sigma2: float,
     prior: GaussianPrior,
     shape: tuple[int, int],
-    tol: float = 1e-14,
-    max_iters: int = 200,
 ) -> VarianceFixedPoint:
     """Solve the stepsize recursion for its fixed point.
 
@@ -134,8 +136,9 @@ def variance_fixed_point(
     keeps its sign to within a few ulps of the root, also on square
     high-SNR spectra where iterating the recursion converges sublinearly.
     Bisecting [tau_q(tau_x = 0), tau_q(tau_x = mean(tau0))] at geometric
-    midpoints closes it to tol (relative) in about 60 evaluations;
-    iterations counts them, and converged means the bracket closed.
+    midpoints closes it to _FIXED_POINT_TOL (relative) in about 60
+    evaluations, and stops after _FIXED_POINT_MAX_EVALS; iterations counts
+    them, and converged means the bracket closed.
     """
     if not isinstance(prior, GaussianPrior):
         raise UnsupportedPriorError(f"need a Gaussian prior, got {type(prior).__name__}")
@@ -162,12 +165,12 @@ def variance_fixed_point(
 
     lo, hi = tau_q_of(0.0), tau_q_of(float(np.mean(tau0)))
     evals = 0
-    while hi - lo > tol * lo and evals < max_iters:
+    while hi - lo > _FIXED_POINT_TOL * lo and evals < _FIXED_POINT_MAX_EVALS:
         mid = np.sqrt(lo) * np.sqrt(hi)
         lo, hi = (mid, hi) if below_root(mid) else (lo, mid)
         evals += 1
     tau_x = tau_x_of(np.sqrt(lo) * np.sqrt(hi))
-    return VarianceFixedPoint(tau_x, tau_q_of(tau_x), iterations=evals, converged=hi - lo <= tol * lo)
+    return VarianceFixedPoint(tau_x, tau_q_of(tau_x), iterations=evals, converged=hi - lo <= _FIXED_POINT_TOL * lo)
 
 
 def spectral_coefficients(

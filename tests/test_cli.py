@@ -217,6 +217,24 @@ def test_complex_circulant_file_gets_a_complex_prior(tmp_path, capsys, monkeypat
     capsys.readouterr()
 
 
+def test_complex_observations_get_a_complex_prior(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(10)
+    save_matrix(tmp_path / "A.txt", rng.standard_normal((12, 8)))
+    save_vector(tmp_path / "y.txt", rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    seen = []
+    real_run = cli.run
+
+    def spy(algorithm, model, prior, **kw):
+        seen.append(prior.complex_valued)
+        return real_run(algorithm, model, prior, **kw)
+
+    monkeypatch.setattr(cli, "run", spy)
+    assert main(["solve", "--matrix", str(tmp_path / "A.txt"), "--observations", str(tmp_path / "y.txt"),
+                 "--prior", "bg:rho=0.2", "--max-iters", "20"]) in (0, 2)
+    assert seen == [True]
+    capsys.readouterr()
+
+
 def test_amp_baseline_solve_with_a_bg_prior_factorizes_nothing(capsys, monkeypatch):
     calls = []
     real_svd = np.linalg.svd
@@ -523,6 +541,25 @@ def test_config_errors(tmp_path, capsys):
     bad2.write_text("[1, 2]")
     assert main(["solve", "iid_gaussian", "8", "8", "--config", str(bad2)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("values", [
+    {"max_iters": 10.5},
+    {"sigma2": None},
+    {"prior": 3},
+    {"algorithms": ["utamp"]},
+    {"check_numeric": 0},
+])
+def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, values):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(values))
+    try:
+        code = main(["solve", "iid_gaussian", "10", "8", "--config", str(conf)])
+    except SystemExit as exc:  # argparse's own message
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and err.splitlines()[-1].startswith("utamp")
 
 
 def test_usage_errors_exit_one():

@@ -319,9 +319,25 @@ def test_dft_reconstruct_densifies_from_first_column():
     finally:
         tracemalloc.stop()
     assert dense.dtype == np.float64, "real taps densify to a real matrix"
-    assert np.max(np.abs(dense - circulant_matrix(taps))) <= 1e-12
+    assert np.array_equal(dense, circulant_matrix(taps))
     # the result and one index array; the DFT matrix route takes 8 of these
     assert peak < 3 * n * n * 8, f"peak allocation {peak / 2**20:.1f} MiB"
+
+
+def test_circulant_factorization_keeps_the_taps_it_was_given():
+    # a tiny imaginary part is part of A, not FFT rounding to round away
+    taps = np.array([1.0, 0.5, 0.25, 0.1], dtype=complex)
+    taps[1] += 1e-14j
+    f = circulant_factorize(taps)
+    assert f.column is taps, "a contiguous complex128 vector is held, not copied"
+    assert np.array_equal(f.reconstruct(), circulant_matrix(taps))
+    # every row of A sums the taps, so A 1 keeps the 1e-14j
+    assert np.allclose(f.matvec(np.ones(4)).imag, 1e-14, rtol=0.0, atol=1e-15)
+    # a strided view is copied, so the factorization does not keep its base alive
+    A = circulant_matrix(np.arange(1.0, 6.0))
+    f = circulant_factorize(A[:, 0])
+    assert f.column.flags.c_contiguous and f.column.base is None
+    assert np.array_equal(f.reconstruct(), A)
 
 
 def test_applies_live_on_the_base_class():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from utamp import (
+    ALGORITHMS,
     EnsembleSpec,
     GaussianPrior,
     BernoulliGaussianPrior,
@@ -388,18 +389,31 @@ def test_lmmse_solve_matches_oracle_heterogeneous():
 
 def test_run_statuses():
     prior = GaussianPrior()
-    # per-element stepsizes break down on a mean-shifted matrix
-    A = generate_matrix(EnsembleSpec(kind="nonzero_mean", M=30, N=20, seed=1))
-    model = synthesize_instance(A, prior, sigma2=0.01, seed=1)
-    _, tr = run("vector", model, prior, max_iters=200)
-    assert tr.status == "diverged"
-    # the transform-domain kernel converges there
-    _, tr2 = run("utamp", model, prior, max_iters=400)
-    assert tr2.status == "converged"
-    # and reports max_iters when capped short
-    _, tr3 = run("utamp", model, prior, max_iters=3, x_tol=1e-14)
-    assert tr3.status == "max_iters"
-    assert len(tr3.records) == 4
+    shifted, plain = (
+        synthesize_instance(generate_matrix(EnsembleSpec(kind=kind, M=30, N=20, seed=1)), prior, sigma2=0.01, seed=1)
+        for kind in ("nonzero_mean", "iid_gaussian")
+    )
+    cases = [
+        # the stepsizes that couple through |A|^2 break down on a mean-shifted
+        # matrix, the transform-domain kernel converges there
+        *((alg, shifted, {"max_iters": 200}, "diverged") for alg in ("vector", "scalar")),
+        ("utamp", shifted, {"max_iters": 400}, "converged"),
+        *((alg, plain, {"max_iters": 400}, "converged") for alg in ("vector", "scalar")),
+        # capped short, and not run at all
+        *((alg, plain, {"max_iters": 3, "x_tol": 1e-14}, "max_iters") for alg in ALGORITHMS),
+        *((alg, plain, {"max_iters": 0}, "max_iters") for alg in ALGORITHMS),
+    ]
+    for alg, model, kw, status in cases:
+        state, tr = run(alg, model, prior, **kw)
+        assert tr.status == status, (alg, kw)
+        assert status != "max_iters" or state.t == kw["max_iters"]
+        # one record per state, the initial one included
+        assert len(tr.records) == state.t + 1
+        assert [r["t"] for r in tr.records] == list(range(state.t + 1))
+        assert [r["tau_q"] is None for r in tr.records] == [True] + [False] * state.t
+        assert [r["rel_change"] is None for r in tr.records] == [True] + [False] * state.t
+        direct = np.linalg.norm(model.y - model.A @ state.x)
+        np.testing.assert_allclose(tr.last()["residual"], direct, rtol=1e-12, atol=0.0, err_msg=f"{alg} {kw}")
 
 
 def test_identity_matrix_hits_posterior_within_three_iterations():
