@@ -320,7 +320,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_problem_arguments(p, with_solver_options):
-    p.add_argument("ensemble", nargs="*", metavar="ENSEMBLE",
+    p.add_argument("ensemble", nargs="*", default=[], metavar="ENSEMBLE",
                    help="ensemble description: KIND M N [key=value ...]")
     p.add_argument("--matrix", help="read the matrix from this text file instead")
     p.add_argument("--sigma2", type=float, default=0.01, help="noise variance (default 0.01)")
@@ -340,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="utamp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # name -> subcommand parser, whose defaults --config sets
 
     p_gen = sub.add_parser("gen", help="generate a test matrix and write it to a file")
     p_gen.add_argument("ensemble", nargs="+", metavar="ENSEMBLE", help="KIND M N [key=value ...]")
@@ -362,44 +363,48 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated list, at least two (default all)")
 
     for sp in (p_gen, p_solve, p_cert, p_cmp):
-        sp.add_argument("--config", help="JSON file with default option values")
+        # SUPPRESS: an absent --config here leaves one given before the command
+        sp.add_argument("--config", default=argparse.SUPPRESS, help="JSON file with default option values")
     return parser
 
 
-def _apply_config(parser, argv):
-    # --config JSON supplies defaults; explicit flags still win
-    if argv and "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            raise CliError("--config needs a file path")
-        path = argv[i + 1]
-        try:
-            with open(path) as fh:
-                values = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(values, dict):
-            raise CliError(f"config {path} must hold a JSON object")
-        # argparse converts only string defaults, so each value goes in as
-        # the string its flag would read; a switch takes only true or false
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            for a in (a for a in sp._actions if a.dest in values):
-                v = values[a.dest]
-                if a.nargs != 0:
-                    v = [str(t) for t in v] if a.nargs == "*" and isinstance(v, list) else str(v)
-                elif not isinstance(v, bool):
-                    raise CliError(f"config {path}: {a.dest} must be true or false, got {v!r}")
-                a.default = v
+def _apply_config(parser, args):
+    # --config JSON supplies the chosen command's defaults; explicit flags still win
+    path = args.config
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise CliError(f"config {path} must hold a JSON object")
+    # a switch of any command takes only true or false, since str(0) is truthy
+    for sp in parser.commands.values():
+        for key, v in values.items():
+            if isinstance(sp.get_default(key), bool) and not isinstance(v, bool):
+                raise CliError(f"config {path}: {key} must be true or false, got {v!r}")
+    # argparse converts only string defaults, so each value goes in as the
+    # string its flag would read (a list of strings for the positional ensemble)
+    sp = parser.commands[args.command]
+    defaults = {}
+    for key in values.keys() & (vars(args).keys() - {"command", "config"}):
+        v, default = values[key], sp.get_default(key)
+        if not isinstance(default, bool):
+            v = [str(t) for t in v] if isinstance(default, list) and isinstance(v, list) else str(v)
+        defaults[key] = v
+    sp.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         handler = {"gen": cmd_gen, "solve": cmd_solve, "certify": cmd_certify, "compare": cmd_compare}[args.command]
         return handler(args)
     except (CliError, FactorizationError, UnsupportedPriorError, ValueError, OSError) as exc:

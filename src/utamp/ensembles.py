@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import Factorization, LinearModel, _noise_variance, circulant_matrix
 
-__all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_matrix", "circulant_taps", "generate_matrix", "synthesize_instance"]
+__all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_taps", "generate_matrix", "synthesize_instance"]
 
 ENSEMBLE_KINDS = (
     "iid_gaussian",
@@ -119,20 +119,15 @@ def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
         shift = 10.0 if spec.mean_shift is None else float(spec.mean_shift)
         return rng.standard_normal((m, n)) / np.sqrt(m) + shift
 
-    if spec.kind == "ill_conditioned":
-        kappa = 1e6 if spec.condition_number is None else float(spec.condition_number)
-        s = _spread_spectrum(kappa, k)
-        u = _haar_columns(rng, m, k)
-        v = _haar_columns(rng, n, k)
-        return (u * s) @ v.T
-
-    if spec.kind == "rank_deficient":
-        r = max(1, k // 2) if spec.rank is None else int(spec.rank)
-        kappa = 1.0 if spec.condition_number is None else float(spec.condition_number)
-        s = _spread_spectrum(kappa, r)
+    if spec.kind in ("ill_conditioned", "rank_deficient"):
+        # Haar U and V around a log-spaced spectrum: full rank with kappa 1e6
+        # by default, or rank r (min(M, N) // 2 by default) with a flat one
+        full = spec.kind == "ill_conditioned"
+        r = k if full else (max(1, k // 2) if spec.rank is None else int(spec.rank))
+        kappa = (1e6 if full else 1.0) if spec.condition_number is None else float(spec.condition_number)
         u = _haar_columns(rng, m, r)
         v = _haar_columns(rng, n, r)
-        return (u * s) @ v.T
+        return (u * _spread_spectrum(kappa, r)) @ v.T
 
     if spec.kind == "column_correlated":
         rho = 0.9 if spec.correlation is None else float(spec.correlation)

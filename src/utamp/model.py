@@ -31,7 +31,6 @@ __all__ = [
     "FactorizationError",
     "svd_factorize",
     "circulant_factorize",
-    "circulant_matrix",
     "scaled_gram_diagonal",
 ]
 

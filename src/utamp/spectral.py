@@ -37,7 +37,6 @@ __all__ = [
     "closed_form_eigenvalues",
     "numeric_iteration_matrix",
     "eigenvalue_discrepancy",
-    "format_radius",
     "certify",
 ]
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from utamp import DftFactorization, SvdFactorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
-from utamp import cli
+import utamp
+from utamp import VarianceFixedPoint, cli, denoisers, ensembles, matrixio, model, solvers, spectral
 from utamp.cli import main, parse_ensemble, parse_prior, CliError
 from utamp.denoisers import BernoulliGaussianPrior, GaussianPrior
 
@@ -26,7 +27,7 @@ def test_parse_prior_forms():
     bg = parse_prior("bg:rho=0.2,mu=0.3,v=2.0")
     assert isinstance(bg, BernoulliGaussianPrior)
     assert bg.rho == 0.2 and bg.mu == 0.3 and bg.v == 2.0
-    for bad in ["laplace", "bg", "bg:rho=2", "gauss:scale=1", "gauss:var=oops"]:
+    for bad in ["laplace", "bg", "bg:rho=2", "gauss:scale=1", "gauss:var=oops", "bg:rho=0.1,foo=1"]:
         with pytest.raises(CliError):
             parse_prior(bad)
 
@@ -38,7 +39,8 @@ def test_parse_ensemble_forms():
     spec2 = parse_ensemble(["circulant", "4", "4", "taps=2,1,0,1"])
     assert np.array_equal(spec2.taps, [2.0, 1.0, 0.0, 1.0])
     for bad in [["iid_gaussian"], ["mystery", "4", "4"], ["iid_gaussian", "a", "4"],
-                ["iid_gaussian", "4", "4", "flavor=hot"], ["iid_gaussian", "4", "4", "seed"]]:
+                ["iid_gaussian", "4", "4", "flavor=hot"], ["iid_gaussian", "4", "4", "seed"],
+                ["ill_conditioned", "4", "4", "kappa=abc"]]:
         with pytest.raises(CliError):
             parse_ensemble(bad)
 
@@ -326,7 +328,11 @@ def test_solve_input_errors(tmp_path, capsys):
     assert main(["solve"]) == 1
     assert main(["solve", "iid_gaussian", "8", "8", "--algorithms", "sorcery"]) == 1
     assert main(["solve", "iid_gaussian", "8", "8", "--matrix", "x.txt"]) == 1
-    capsys.readouterr()
+    assert main(["solve", "iid_gaussian", "8", "8", "--algorithms", ","]) == 1
+    save_vector(tmp_path / "y.txt", np.ones(7))
+    assert main(["solve", "iid_gaussian", "8", "8", "--observations", str(tmp_path / "y.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "empty algorithm list" in err and "observations have length 7, matrix has 8 rows" in err
 
 
 def test_solve_bg_prior(capsys):
@@ -475,6 +481,24 @@ def test_radius_near_one_prints_its_gap(tmp_path, capsys):
     assert "certificate: spectral radius 1 - 1e-10 (contractive)" in capsys.readouterr().out
 
 
+def test_compare_names_an_unconverged_fixed_point(capsys, monkeypatch):
+    # the README quotes this line: a radius from such a fixed point is no verdict
+    def unconverged(lam, sigma2, prior, shape):
+        return VarianceFixedPoint(tau_x=0.5, tau_q=1.0, iterations=200, converged=False)
+
+    monkeypatch.setattr(spectral, "variance_fixed_point", unconverged)
+    main(["compare", "iid_gaussian", "12", "8", "--algorithms", "utamp,amp-vec"])
+    assert "(NOT contractive: stepsize fixed point did not converge)" in capsys.readouterr().out
+
+
+def test_package_republishes_each_module_all():
+    # each module's __all__ is the one list of its public names
+    assert len(utamp.__all__) == len(set(utamp.__all__))
+    for module in (denoisers, ensembles, matrixio, model, solvers, spectral):
+        for name in module.__all__:
+            assert getattr(utamp, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, utamp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -515,10 +539,14 @@ def test_compare_exit_two_when_all_diverge(capsys):
 # ------------------------------------------------------------- misc
 
 
-def test_config_file_supplies_defaults(tmp_path, capsys):
+@pytest.mark.parametrize("placement", ["after", "after=", "abbreviated", "before"])
+def test_config_file_supplies_defaults(tmp_path, capsys, placement):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"sigma2": 0.5, "max_iters": 5}))
-    code = main(["solve", "iid_gaussian", "10", "8", "--config", str(conf), "--algorithms", "utamp"])
+    flag = {"after": ["--config", str(conf)], "after=": [f"--config={conf}"],
+            "abbreviated": ["--conf", str(conf)], "before": []}[placement]
+    command = ["solve", "iid_gaussian", "10", "8", *flag, "--algorithms", "utamp"]
+    code = main(["--config", str(conf), *command] if placement == "before" else command)
     assert code == 2  # no solver converged within 5 iterations
     out = capsys.readouterr().out
     assert "sigma2 = 0.5" in out
@@ -540,7 +568,8 @@ def test_config_errors(tmp_path, capsys):
     bad2 = tmp_path / "list.json"
     bad2.write_text("[1, 2]")
     assert main(["solve", "iid_gaussian", "8", "8", "--config", str(bad2)]) == 1
-    capsys.readouterr()
+    assert main(["solve", "iid_gaussian", "8", "8", "--config", str(tmp_path / "missing.json")]) == 1
+    assert "cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("values", [

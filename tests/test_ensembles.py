@@ -99,6 +99,10 @@ def test_rank_deficient_rank():
     assert np.sum(sb > 1e-10) == 5
     # default within-rank spectrum is flat
     assert np.isclose(sb[0] / sb[4], 1.0, rtol=1e-10)
+    # rank 1 is one singular value, whatever kappa asks of the spread
+    C = generate_matrix(EnsembleSpec(kind="rank_deficient", M=24, N=18, seed=4, rank=1, condition_number=1e3))
+    sc = np.linalg.svd(C, compute_uv=False)
+    assert np.isclose(sc[0], 1.0, rtol=1e-12) and np.all(sc[1:] < 1e-12)
 
 
 def test_column_correlated_structure():

@@ -657,6 +657,20 @@ def test_forked_load_handles_ranges_without_rows(tmp_path, content):
 
 
 @needs_fork
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_forked_load_finds_cuts_in_rows_longer_than_a_read(tmp_path, workers):
+    # each row is about 0.8 MB, so the newline after a cut lies beyond the
+    # first 64 KiB read
+    a = np.random.default_rng(5).standard_normal((3, 40000))
+    path = tmp_path / "a.txt"
+    save_matrix(path, a)
+    got, parses = _load_counting_parses(path, workers)
+    _assert_no_children()
+    assert parses == 1
+    assert np.array_equal(got.view(np.uint64), a.view(np.uint64))
+
+
+@needs_fork
 def test_forked_io_does_the_work_of_a_child_that_fails(tmp_path, monkeypatch):
     a = np.random.default_rng(5).standard_normal((9, 4)) * 1e-300
     path = tmp_path / "a.txt"

@@ -78,6 +78,8 @@ def test_coefficients_hand_case():
     assert np.allclose(c.betas, [0.5, 0.8])
     assert np.isclose(c.alpha, 1.3 / 3.0)
     assert c.shape == (2, 3)
+    with pytest.raises(ValueError, match="expected 2 singular values"):
+        spectral_coefficients(fp, np.array([1.0, 2.0, 3.0]), 1.0, (2, 3))
 
 
 def test_alpha_equals_stepsize_ratio_at_fixed_point():
