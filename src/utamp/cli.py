@@ -393,6 +393,11 @@ def _apply_config(parser, args):
         v, default = values[key], sp.get_default(key)
         if not isinstance(default, bool):
             v = [str(t) for t in v] if isinstance(default, list) and isinstance(v, list) else str(v)
+        # argparse checks choices on the command line only, not on a default
+        choices = next(a.choices for a in sp._actions if a.dest == key)
+        if choices is not None and v not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise CliError(f"config {path}: {key}: invalid choice: {v!r} (choose from {allowed})")
         defaults[key] = v
     sp.set_defaults(**defaults)
 

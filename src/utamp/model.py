@@ -52,10 +52,13 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _noise_variance(sigma2) -> float:
-    """sigma2 as a float, rejected unless 0 < sigma2 < inf."""
+    """sigma2 as a float, rejected unless 0 < sigma2 < inf and normal: the
+    solvers' 1 / sigma2 overflows for a subnormal one."""
     sigma2 = float(sigma2)
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    if sigma2 < np.finfo(float).tiny:
+        raise ValueError(f"sigma2 must not be subnormal (below {np.finfo(float).tiny:.6g}), got {sigma2}")
     return sigma2
 
 

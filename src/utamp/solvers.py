@@ -10,8 +10,8 @@ Three step kernels share one loop driver:
   per-iteration cost is two unitary applies (FFTs in the circulant case).
 
 All kernels are plain functions from (state, problem, prior) to
-(state, scratch); the scratch carries every intermediate so tests and demos
-can inspect a single step.
+(state, tau_q): the new state and the pseudo-observation variance the
+denoiser was given.  A step keeps none of its other intermediates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .model import LinearModel, TransformedModel, _matmul, _matmul_h
 __all__ = [
     "ALGORITHMS",
     "SolverState",
-    "StepScratch",
     "Trace",
     "vector_amp_step",
     "scalar_amp_step",
@@ -58,18 +57,6 @@ class SolverState:
         return float(np.mean(self.tau_x))
 
 
-@dataclass(eq=False)
-class StepScratch:
-    """Per-iteration intermediates, in computation order."""
-
-    tau_p: np.ndarray | float
-    p: np.ndarray
-    tau_s: np.ndarray | float
-    s: np.ndarray
-    tau_q: np.ndarray | float
-    q: np.ndarray
-
-
 def _guarded_correction(x, tau_q, corr):
     # x + tau_q * corr with tau_q = inf treated as "no update" so that
     # inf * 0 never produces a nan; a scalar tau_q overwrites corr with it
@@ -82,7 +69,7 @@ def _guarded_correction(x, tau_q, corr):
     return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
 
 
-def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, StepScratch]:
+def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, np.ndarray | float]:
     """One iteration with per-element variances.
 
     Variance propagation uses |A|^2 as the coupling matrix in both
@@ -100,10 +87,10 @@ def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     q = _guarded_correction(state.x, tau_q, _matmul_h(A, s))
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var, s=s, t=state.t + 1)
-    return new, StepScratch(tau_p=tau_p, p=p, tau_s=tau_s, s=s, tau_q=tau_q, q=q)
+    return new, tau_q
 
 
-def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, StepScratch]:
+def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, float]:
     """One iteration with |A|^2 replaced by its mean: row sums become
     ||A||_F^2 / M, column sums ||A||_F^2 / N, making every stepsize a
     scalar."""
@@ -118,10 +105,10 @@ def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     q = _guarded_correction(state.x, tau_q, _matmul_h(A, s))
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var_scalar, s=s, t=state.t + 1)
-    return new, StepScratch(tau_p=tau_p, p=p, tau_s=tau_s, s=s, tau_q=tau_q, q=q)
+    return new, tau_q
 
 
-def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[SolverState, StepScratch]:
+def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[SolverState, float]:
     """One transform-domain iteration.
 
     The estimate-side variance is a scalar, but the measurement-side
@@ -129,22 +116,24 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[So
     squared singular values padded to length M.  The pseudo-observation
     variance is N / <lam_p, tau_s>.
 
-    Outside the denoiser, every length-N array the step allocates is one
-    it returns: p and q are built in the outputs of the two applies.  The
-    elementwise chains here, in the applies and in the denoiser run on every
-    CPU from 2^16 entries up (_threads._blockwise); the reductions stay whole,
-    so the iterate does not depend on the number of CPUs.
+    Outside the denoiser the step holds at most three length-N arrays of
+    its own: p (built in the output of apply_av), tau_s and s until the
+    reduction, then s and q (built in the output of apply_avh).  tau_p lives
+    one block at a time.  The elementwise chains here, in the applies and in
+    the denoiser run on every CPU from 2^16 entries up (_threads._blockwise);
+    the reductions stay whole, so the iterate does not depend on the number
+    of CPUs.
     """
     fact = tmodel.fact
     tau_x = float(np.mean(state.tau_x))
     p = fact.apply_av(state.x)
     dtype = np.result_type(p, state.s, tmodel.r)
     p = p.astype(dtype, copy=False)
-    tau_p, tau_s, s = np.empty(p.size), np.empty(p.size), np.empty(p.size, dtype)
+    tau_s, s = np.empty(p.size), np.empty(p.size, dtype)
 
     def chain(b):
-        tau_p_b, p_b, tau_s_b, s_b = tau_p[b], p[b], tau_s[b], s[b]
-        np.multiply(tau_x, tmodel.lam_p[b], out=tau_p_b)
+        p_b, tau_s_b, s_b = p[b], tau_s[b], s[b]
+        tau_p_b = np.multiply(tau_x, tmodel.lam_p[b])
         np.multiply(tau_p_b, state.s[b], out=s_b, dtype=dtype)
         p_b -= s_b
         np.add(tau_p_b, tmodel.sigma2, out=tau_s_b)
@@ -156,11 +145,12 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[So
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
     denom = float(np.einsum("i,i", tmodel.lam_p, tau_s))
+    del p, tau_s  # before apply_avh allocates q
     tau_q = tmodel.N / denom if denom > 0 else np.inf
     q = _guarded_correction(state.x, tau_q, fact.apply_avh(s))
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var_scalar, s=s, t=state.t + 1)
-    return new, StepScratch(tau_p=tau_p, p=p, tau_s=tau_s, s=s, tau_q=tau_q, q=q)
+    return new, tau_q
 
 
 @dataclass(eq=False)
@@ -237,11 +227,12 @@ def run(
     utamp iterates on the model's factorization (model.fact).
 
     Stops when the relative change of x drops to x_tol (converged), after
-    max_iters iterations (max_iters), or when the estimate goes non-finite
-    or its norm passes _DIVERGENCE_NORM (diverged).  max_iters = 0 is valid
-    and returns the initial state untouched.  The initial state and every
-    iterate are recorded alike; each record's residual is ||y - A x||, which
-    utamp reads as ||r - Lam V x|| on its factorization.
+    max_iters iterations (max_iters), or when the estimate or the dual
+    variable goes non-finite or the estimate's norm passes _DIVERGENCE_NORM
+    (diverged).  max_iters = 0 is valid and returns the initial state
+    untouched.  The initial state and every iterate are recorded alike;
+    each record's residual is ||y - A x||, which utamp reads as
+    ||r - Lam V x|| on its factorization.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -273,17 +264,17 @@ def run(
             rel_change=rel,
             mse=None if model.x_true is None else float(np.mean(np.abs(x - model.x_true) ** 2)),
         )
-        if state.t and (not np.all(np.isfinite(x)) or norm > _DIVERGENCE_NORM):
+        if state.t and not (np.isfinite(x).all() and np.isfinite(state.s).all() and norm <= _DIVERGENCE_NORM):
             trace.status = "diverged"
         elif state.t and rel <= x_tol:
             trace.status = "converged"
         elif state.t == max_iters:
             trace.status = "max_iters"
         else:
-            state, scratch = step(state, problem, prior)
+            state, tau_q = step(state, problem, prior)
             norm = float(np.linalg.norm(state.x))
             rel = float(np.linalg.norm(state.x - x)) / max(norm, 1e-300)
-            tau_q = float(np.mean(scratch.tau_q))
+            tau_q = float(np.mean(tau_q))
             continue
         return state, trace
 

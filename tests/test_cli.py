@@ -277,6 +277,19 @@ def test_non_finite_or_negative_sigma2_is_one_error_line(command, sigma2, capsys
     assert captured.err.splitlines() == [f"utamp: error: sigma2 must be positive and finite, got {float(sigma2)}"]
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_subnormal_sigma2_is_one_error_line(command, capsys):
+    # 1 / sigma2 overflowed, <lam_p, tau_s> went NaN and solve reported
+    # "converged" after one iteration, with lmmse_gap 1.75
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "iid_gaussian", "6", "4", "--sigma2", "1e-320"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()], captured.err
+    assert captured.err.startswith("utamp: error: sigma2 must not be subnormal"), captured.err
+    assert "converged" not in captured.out
+
+
 @pytest.mark.parametrize("x_tol", ["inf", "0", "nan"])
 def test_bad_x_tol_exits_1(x_tol, capsys):
     # an infinite tolerance used to report "converged" after one iteration
@@ -578,6 +591,7 @@ def test_config_errors(tmp_path, capsys):
     {"prior": 3},
     {"algorithms": ["utamp"]},
     {"check_numeric": 0},
+    {"factorization": "bogus"},  # outside its choices; argparse checks them on the command line only
 ])
 def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, values):
     conf = tmp_path / "conf.json"

@@ -53,6 +53,10 @@ def test_linear_model_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="^sigma2 must be positive and finite"):
             LinearModel(A, y, bad)
+    # 1 / sigma2 overflows below the smallest normal float
+    with pytest.raises(ValueError, match="^sigma2 must not be subnormal"):
+        LinearModel(A, y, 1e-320)
+    assert LinearModel(A, y, np.finfo(float).tiny).sigma2 == np.finfo(float).tiny
     with pytest.raises(ValueError):
         LinearModel(A, y, 0.5, x_true=np.ones(3))
     with pytest.raises(ValueError):
@@ -926,8 +930,8 @@ def test_fft_kernel_does_not_depend_on_the_worker_count(monkeypatch, workers):
             # the second step meets a nonzero s
             state = initial_state("utamp", n, n, prior, dtype=complex)
             for _ in range(2):
-                state, scratch = ut_amp_step(state, tm, prior)
-            fields = [state.x, state.tau_x, *vars(scratch).values()]
+                state, tau_q = ut_amp_step(state, tm, prior)
+            fields = [state.x, state.tau_x, state.s, tau_q]
             results[count] += [np.asarray(f).tobytes() for f in fields]
     assert results[1] == results[workers]
 
