@@ -33,7 +33,7 @@ from .denoisers import BernoulliGaussianPrior, GaussianPrior
 from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_matrix, synthesize_instance
 from .matrixio import load_matrix, load_vector, save_matrix
 from .model import FactorizationError, LinearModel, circulant_factorize
-from .solvers import lmmse_transformed, run
+from .solvers import _check_max_iters, _check_x_tol, lmmse_transformed, run
 from .spectral import UnsupportedPriorError, certify, format_radius
 
 __all__ = ["main", "console_main", "build_parser"]
@@ -51,6 +51,25 @@ class _Parser(argparse.ArgumentParser):
 
 class CliError(Exception):
     """Input problems discovered after argument parsing."""
+
+
+def _solver_option(convert, check):
+    """An argparse type that rejects a value run() would reject, before any
+    problem is built; argparse applies it to a --config string too.  A value
+    that does not parse is argparse's usage error; one out of range is a
+    CliError, which argparse lets through to main's one error line."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+
+    return parse
 
 
 def _parse_kv(token: str, context: str) -> tuple[str, str]:
@@ -331,8 +350,8 @@ def _add_problem_arguments(p, with_solver_options):
         p.add_argument("--seed", type=int, default=0, help="seed for signal and noise synthesis")
         p.add_argument("--factorization", choices=("auto", "svd", "dft"), default="auto",
                        help="transform used by utamp (auto picks dft when the input is circulant)")
-        p.add_argument("--max-iters", type=int, default=1000)
-        p.add_argument("--x-tol", type=float, default=1e-10)
+        p.add_argument("--max-iters", type=_solver_option(int, _check_max_iters), default=1000)
+        p.add_argument("--x-tol", type=_solver_option(float, _check_x_tol), default=1e-10)
         p.add_argument("--out", help="directory for iteration trace CSV files")
 
 

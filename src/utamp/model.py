@@ -8,9 +8,11 @@ the transform-domain solver iterates on.  One class per unitary transform:
 SvdFactorization stores thin singular factors, a tall A's U_k only as the
 Householder reflectors of a QR factorization and the k x k U_R of an SVD of
 its triangle; DftFactorization applies the DFT of a circulant A by FFTs,
-densifies A from its first column, and builds U or V only when read.  Every
-FFT of a DftFactorization goes through _threads._fft, in _fft's order, and
-the applies run their elementwise passes in blocks on its worker threads.
+densifies A from its first column, and builds U or V only when read;
+RealDftFactorization holds a real circulant A on the N//2 + 1 bins of the
+half spectrum, for real x.  Every FFT goes through _threads._fft, in _fft's
+order (the real transforms through _threads._rfft and _irfft), and the
+applies run their elementwise passes in blocks on its worker threads.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._threads import _blockwise, _fft, _order
+from ._threads import _blockwise, _fft, _irfft, _order, _rfft
 
 __all__ = [
     "LinearModel",
     "Factorization",
     "SvdFactorization",
     "DftFactorization",
+    "RealDftFactorization",
     "TransformedModel",
     "FactorizationError",
     "svd_factorize",
@@ -137,7 +140,7 @@ class LinearModel:
         that run and lmmse_transformed share one transform: r = U^H y from
         fact.transform, with ||r - Lam V x|| = ||y - A x|| for every x."""
         fact = self.fact
-        lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.M - fact.lam.size))
+        lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.bins - fact.lam.size))
         return TransformedModel(fact=fact, r=fact.transform(self.y), sigma2=self.sigma2, lam_p=lam_p)
 
 
@@ -147,14 +150,18 @@ class Factorization:
 
     lam holds the k diagonal entries of Lam.  The applies are written once
     here; a subclass supplies the unitary parts _v (x -> V_k x), _vh (its
-    adjoint) and transform (y -> U^H y), the dense U and V, reconstruct and
-    matvec.  _v and transform return a fresh array and leave their argument
-    alone (apply_av scales the result in place); _vh may overwrite its
-    argument, which apply_avh allocates for it.
+    adjoint) and transform (y -> U^H y, of length bins), the dense U and V,
+    reconstruct and matvec.  _v and transform return a fresh array and leave
+    their argument alone (apply_av scales the result in place); _vh may
+    overwrite its argument, which apply_avh allocates for it.
     """
 
     lam: np.ndarray
     shape: tuple[int, int]
+
+    # the bins that count once in a sum over the entries of U^H y, the others
+    # counting twice (RealDftFactorization); None: every bin counts once
+    unpaired = None
 
     @property
     def M(self) -> int:
@@ -164,11 +171,16 @@ class Factorization:
     def N(self) -> int:
         return self.shape[1]
 
+    @property
+    def bins(self) -> int:
+        """The length of U^H y as this class holds it (M here)."""
+        return self.M
+
     def apply_av(self, x: np.ndarray) -> np.ndarray:
-        """Return Lam V x (length M, zero past k) without forming A."""
+        """Return Lam V x (length bins, zero past k) without forming A."""
         z = self._v(x)
         _blockwise(lambda b: np.multiply(self.lam[b], (zb := z[b]), out=zb), z.size)
-        return np.pad(z, (0, self.M - z.size)) if self.M > z.size else z
+        return np.pad(z, (0, self.bins - z.size)) if self.bins > z.size else z
 
     def apply_avh(self, s: np.ndarray) -> np.ndarray:
         """Return V^H Lam^H s (length N), the adjoint of apply_av."""
@@ -291,6 +303,51 @@ class DftFactorization(Factorization):
         fx = _fft(np.array(x, dtype=np.complex128), norm="backward")
         ax = _fft(np.multiply(self.lam, fx, out=fx), inverse=True, norm="backward")
         return ax.real if np.isrealobj(x) and np.isrealobj(self.column) else ax
+
+    def half_spectrum(self) -> RealDftFactorization:
+        """The same real circulant A on real x, with N//2 + 1 bins."""
+        if np.iscomplexobj(self.column):
+            raise FactorizationError("the half spectrum needs a real first column")
+        return RealDftFactorization(lam=_rfft(self.column, norm="backward"), shape=self.shape, column=self.column)
+
+
+@dataclass(eq=False)
+class RealDftFactorization(Factorization):
+    """A circulant A with a real first column, applied to real x only.
+
+    The DFT of a real vector is Hermitian, so its bins 0..N//2 hold all of
+    it: bins = N//2 + 1.  V x is those bins of the normalized DFT, in
+    _threads._rfft's order, and lam holds A's eigenvalues on them; _vh is
+    the real inverse transform of the Hermitian spectrum, so x stays real.
+    A sum over the N entries of U^H y is the sum over the bins with weights
+    1, 2, ..., 2, 1: bin k, 0 < k < N/2, stands for itself and its mirror
+    N - k.  The last weight is 1 only for even N, where bin N/2 is its own
+    mirror; for odd N it is 2.  The transform-domain step and the residual
+    take such a sum as twice the plain sum less the unpaired bins.
+    DftFactorization.half_spectrum builds one; there is no dense U or V,
+    and lam holds N//2 + 1 of A's N eigenvalues, so what reads lam as A's
+    spectrum (certify) takes the complex DftFactorization."""
+
+    column: np.ndarray = field(repr=False)
+    bins = property(lambda self: self.lam.size)
+
+    @property
+    def unpaired(self) -> tuple[int, ...]:
+        """The bins that are their own mirror and carry weight 1: bin 0, and
+        bin N/2 (the last) for even N."""
+        return (0, self.bins - 1) if self.N % 2 == 0 else (0,)
+
+    def _v(self, x: np.ndarray) -> np.ndarray:
+        return _rfft(x)
+
+    def _vh(self, z: np.ndarray) -> np.ndarray:
+        return _irfft(z, self.N)
+
+    transform = _v
+
+    def reconstruct(self) -> np.ndarray:
+        """Densify A from its first column, without the DFT matrix."""
+        return circulant_matrix(self.column)
 
 
 def svd_factorize(A) -> SvdFactorization:

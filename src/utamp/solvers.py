@@ -7,24 +7,29 @@ Three step kernels share one loop driver:
   one variance scalar per side;
 * transform domain: scalar variances on the estimate, per-element variances
   in the measurement domain, iterating on r = U^H y = Lam V x + w so the
-  per-iteration cost is two unitary applies (FFTs in the circulant case).
+  per-iteration cost is two unitary applies (FFTs in the circulant case,
+  real FFTs on the N//2 + 1 bins of the half spectrum when the circulant,
+  y and the prior are real).
 
 All kernels are plain functions from (state, problem, prior) to
 (state, tau_q): the new state and the pseudo-observation variance the
-denoiser was given.  A step keeps none of its other intermediates.
+denoiser was given.  A step keeps none of its other intermediates.  Asked
+for it, a step also reports ||y - A x|| of the state it was given, from the
+product A x (Lam V x) it computes anyway, so run() pays for no third apply.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .denoisers import GaussianPrior
 from ._threads import _blockwise
-from .model import LinearModel, TransformedModel, _matmul, _matmul_h
+from .model import DftFactorization, LinearModel, RealDftFactorization, TransformedModel, _matmul, _matmul_h
 
 __all__ = [
     "ALGORITHMS",
@@ -54,7 +59,12 @@ class SolverState:
     t: int = 0
 
     def tau_x_mean(self) -> float:
-        return float(np.mean(self.tau_x))
+        return _mean(self.tau_x)
+
+
+def _mean(v) -> float:
+    # np.mean of a Python float costs microseconds a call; a float is its own mean
+    return float(np.mean(v)) if isinstance(v, np.ndarray) else float(v)
 
 
 def _guarded_correction(x, tau_q, corr):
@@ -69,16 +79,40 @@ def _guarded_correction(x, tau_q, corr):
     return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
 
 
-def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, np.ndarray | float]:
+def _sumsq(d: np.ndarray, unpaired=None, start=0) -> float:
+    """sum_i w_i |d_i|^2 over d, the block of a vector from index start,
+    with the factorization's weights: w_i = 1 when unpaired is None, else 2
+    but 1 at the indices in unpaired.  The plain sum is an einsum on d's
+    float view, numpy's own loop, so no BLAS call runs on a worker thread."""
+    v = d.view(np.float64)
+    total = float(np.einsum("i,i", v, v))
+    if unpaired is None:
+        return total
+    return 2.0 * total - sum(abs(d[i - start]) ** 2 for i in unpaired if start <= i < start + d.size)
+
+
+def _norm(d: np.ndarray, unpaired=None) -> float:
+    """sqrt(_sumsq(d, unpaired)) in one blocked pass, the blocks' sums added
+    in block order, so the result does not depend on the number of CPUs."""
+    return math.sqrt(sum(_blockwise(lambda b: _sumsq(d[b], unpaired, b.start), d.size)))
+
+
+def vector_amp_step(
+    state: SolverState, model: LinearModel, prior, *, residual=None
+) -> tuple[SolverState, np.ndarray | float]:
     """One iteration with per-element variances.
 
     Variance propagation uses |A|^2 as the coupling matrix in both
     directions; the pseudo-observation variance is the elementwise
-    reciprocal of |A^H|^2 tau_s.
+    reciprocal of |A^H|^2 tau_s.  residual, when given, is a length-1 float
+    array set to ||y - A x|| of state.x, from the step's A x.
     """
     A = model.A
     tau_p = model.abs2 @ np.asarray(state.tau_x, dtype=float)
-    p = _matmul(A, state.x) - tau_p * state.s
+    ax = _matmul(A, state.x)
+    if residual is not None:
+        residual[0] = _norm(model.y - ax)
+    p = ax - tau_p * state.s
     tau_s = 1.0 / (tau_p + model.sigma2)
     s = tau_s * (model.y - p)
     col = model.abs2.T @ tau_s
@@ -90,14 +124,17 @@ def vector_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     return new, tau_q
 
 
-def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[SolverState, float]:
+def scalar_amp_step(state: SolverState, model: LinearModel, prior, *, residual=None) -> tuple[SolverState, float]:
     """One iteration with |A|^2 replaced by its mean: row sums become
     ||A||_F^2 / M, column sums ||A||_F^2 / N, making every stepsize a
-    scalar."""
+    scalar.  residual as for vector_amp_step."""
     A = model.A
-    tau_x = float(np.mean(state.tau_x))
+    tau_x = state.tau_x_mean()
     tau_p = model.frob2 / model.M * tau_x
-    p = _matmul(A, state.x) - tau_p * state.s
+    ax = _matmul(A, state.x)
+    if residual is not None:
+        residual[0] = _norm(model.y - ax)
+    p = ax - tau_p * state.s
     tau_s = 1.0 / (tau_p + model.sigma2)
     s = tau_s * (model.y - p)
     denom = model.frob2 / model.N * tau_s
@@ -108,24 +145,32 @@ def scalar_amp_step(state: SolverState, model: LinearModel, prior) -> tuple[Solv
     return new, tau_q
 
 
-def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[SolverState, float]:
+def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual=None) -> tuple[SolverState, float]:
     """One transform-domain iteration.
 
     The estimate-side variance is a scalar, but the measurement-side
     variances stay per element: tau_p = tau_x * lam_p, where lam_p holds the
-    squared singular values padded to length M.  The pseudo-observation
-    variance is N / <lam_p, tau_s>.
+    squared singular values padded to the length of r.  The
+    pseudo-observation variance is N / <lam_p, tau_s>, the sum taken with
+    the factorization's weights when it has unpaired bins
+    (RealDftFactorization).
 
-    Outside the denoiser the step holds at most three length-N arrays of
-    its own: p (built in the output of apply_av), tau_s and s until the
+    Outside the denoiser the step holds at most three arrays of r's length
+    of its own: p (built in the output of apply_av), tau_s and s until the
     reduction, then s and q (built in the output of apply_avh).  tau_p lives
     one block at a time.  The elementwise chains here, in the applies and in
     the denoiser run on every CPU from 2^16 entries up (_threads._blockwise);
-    the reductions stay whole, so the iterate does not depend on the number
-    of CPUs.
+    the reductions stay whole, or add the blocks' sums in block order, so the
+    iterate does not depend on the number of CPUs.
+
+    residual, when given, is a length-1 float array set to ||r - Lam V x||
+    (= ||y - A x||) of state.x, reduced block by block in the chain from the
+    product Lam V x before p overwrites it.
     """
     fact = tmodel.fact
-    tau_x = float(np.mean(state.tau_x))
+    # a factorization-like object without unpaired counts every bin once
+    unpaired = getattr(fact, "unpaired", None)
+    tau_x = state.tau_x_mean()
     p = fact.apply_av(state.x)
     dtype = np.result_type(p, state.s, tmodel.r)
     p = p.astype(dtype, copy=False)
@@ -133,6 +178,8 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[So
 
     def chain(b):
         p_b, tau_s_b, s_b = p[b], tau_s[b], s[b]
+        # r - Lam V x in s's block, before s is built there
+        part = None if residual is None else _sumsq(np.subtract(tmodel.r[b], p_b, out=s_b), unpaired, b.start)
         tau_p_b = np.multiply(tau_x, tmodel.lam_p[b])
         np.multiply(tau_p_b, state.s[b], out=s_b, dtype=dtype)
         p_b -= s_b
@@ -140,11 +187,16 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior) -> tuple[So
         np.reciprocal(tau_s_b, out=tau_s_b)
         np.subtract(tmodel.r[b], p_b, out=s_b)
         np.multiply(tau_s_b, s_b, out=s_b)
+        return part
 
-    _blockwise(chain, p.size)
+    parts = _blockwise(chain, p.size)
+    if residual is not None:
+        residual[0] = math.sqrt(sum(parts))
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
     denom = float(np.einsum("i,i", tmodel.lam_p, tau_s))
+    if unpaired is not None:
+        denom = 2.0 * denom - sum(tmodel.lam_p[i] * tau_s[i] for i in unpaired)
     del p, tau_s  # before apply_avh allocates q
     tau_q = tmodel.N / denom if denom > 0 else np.inf
     q = _guarded_correction(state.x, tau_q, fact.apply_avh(s))
@@ -214,6 +266,23 @@ def initial_state(algorithm: str, n: int, m: int, prior, dtype=float) -> SolverS
 _DIVERGENCE_NORM = 1e12  # an iterate whose norm passes this has diverged
 
 
+def _check_max_iters(max_iters: int) -> int:
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    return max_iters
+
+
+def _check_x_tol(x_tol: float) -> float:
+    if not 0.0 < x_tol < np.inf:
+        raise ValueError(f"x_tol must be positive and finite, got {x_tol}")
+    return x_tol
+
+
+def _all_finite(a: np.ndarray, out: np.ndarray) -> bool:
+    """Whether every entry of a is finite, in one blocked pass through out."""
+    return all(_blockwise(lambda b: np.isfinite(a[b], out=out[b]).all(), a.size))
+
+
 def run(
     algorithm: str,
     model: LinearModel,
@@ -224,7 +293,10 @@ def run(
 ) -> tuple[SolverState, Trace]:
     """Drive one of the three kernels to termination.
 
-    utamp iterates on the model's factorization (model.fact).
+    utamp iterates on the model's factorization (model.fact), on its
+    transformed model; a circulant model (DftFactorization) with a real first
+    column, a real y and a real prior iterates on the N//2 + 1 bins of the
+    half spectrum instead (RealDftFactorization) and returns a real x.
 
     Stops when the relative change of x drops to x_tol (converged), after
     max_iters iterations (max_iters), or when the estimate or the dual
@@ -232,19 +304,30 @@ def run(
     (diverged).  max_iters = 0 is valid and returns the initial state
     untouched.  The initial state and every iterate are recorded alike;
     each record's residual is ||y - A x||, which utamp reads as
-    ||r - Lam V x|| on its factorization.
+    ||r - Lam V x|| on its factorization.  The step that starts from x
+    reports that residual from the product A x it computes anyway, so its
+    record is completed one step late, and an iteration costs two applies
+    (utamp) or two products with A; the last state's residual costs one
+    more product.  rel_change, mse, the norm and the finiteness test take
+    one blocked pass each, through buffers allocated once per call.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if not 0.0 < x_tol < np.inf:
-        raise ValueError(f"x_tol must be positive and finite, got {x_tol}")
+    _check_max_iters(max_iters)
+    _check_x_tol(x_tol)
 
+    unpaired = None
     if algorithm == "utamp":
-        problem = model.transformed
-        target, product = problem.r, problem.fact.apply_av
-        dtype = np.result_type(problem.r.dtype, float)
+        fact = model.fact
+        real = (
+            isinstance(fact, DftFactorization)
+            and np.isrealobj(fact.column)
+            and np.isrealobj(model.y)
+            and not getattr(prior, "complex_valued", True)
+        )
+        problem = LinearModel(fact.half_spectrum(), model.y, model.sigma2).transformed if real else model.transformed
+        target, product, unpaired = problem.r, problem.fact.apply_av, problem.fact.unpaired
+        dtype = float if isinstance(problem.fact, RealDftFactorization) else np.result_type(problem.r.dtype, float)
         step = ut_amp_step
     else:
         problem = model
@@ -252,7 +335,14 @@ def run(
         dtype = np.result_type(model.A.dtype, model.y.dtype)
         step = vector_amp_step if algorithm == "vector" else scalar_amp_step
 
-    state = initial_state(algorithm, model.N, model.M, prior, dtype=dtype)
+    state = initial_state(algorithm, model.N, target.size, prior, dtype=dtype)
+    n, x_true = model.N, model.x_true
+    diff = np.empty(n, np.result_type(state.x, state.x if x_true is None else x_true))
+    finite, residual = np.empty(target.size, bool), np.empty(1)
+
+    def sq_distance(a, c):  # ||a - c||^2 in one blocked pass through diff
+        return sum(_blockwise(lambda b: _sumsq(np.subtract(a[b], c[b], out=diff[b])), n))
+
     trace, tau_q, rel = Trace(), None, None
     while True:
         x = state.x
@@ -260,22 +350,26 @@ def run(
             t=state.t,
             tau_x=state.tau_x_mean(),
             tau_q=tau_q,
-            residual=float(np.linalg.norm(target - product(x))),
+            residual=None,
             rel_change=rel,
-            mse=None if model.x_true is None else float(np.mean(np.abs(x - model.x_true) ** 2)),
+            mse=None if x_true is None else sq_distance(x, x_true) / n,
         )
-        if state.t and not (np.isfinite(x).all() and np.isfinite(state.s).all() and norm <= _DIVERGENCE_NORM):
+        # a non-finite x has a non-finite norm
+        if state.t and not (norm <= _DIVERGENCE_NORM and _all_finite(state.s, finite)):
             trace.status = "diverged"
         elif state.t and rel <= x_tol:
             trace.status = "converged"
         elif state.t == max_iters:
             trace.status = "max_iters"
         else:
-            state, tau_q = step(state, problem, prior)
-            norm = float(np.linalg.norm(state.x))
-            rel = float(np.linalg.norm(state.x - x)) / max(norm, 1e-300)
-            tau_q = float(np.mean(tau_q))
+            state, tau_q = step(state, problem, prior, residual=residual)
+            trace.last()["residual"] = float(residual[0])
+            norm = _norm(state.x)
+            rel = math.sqrt(sq_distance(state.x, x)) / max(norm, 1e-300)
+            tau_q = _mean(tau_q)
             continue
+        # the one product no step shares
+        trace.last()["residual"] = _norm(target - product(x), unpaired)
         return state, trace
 
 

@@ -299,6 +299,27 @@ def test_bad_x_tol_exits_1(x_tol, capsys):
     assert "converged" not in captured.out
 
 
+@pytest.mark.parametrize("option", [["--max-iters", "-1"], ["--x-tol", "0"], ["--x-tol", "nan"], ["--x-tol", "inf"]])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_solver_option_fails_before_the_problem_is_built(tmp_path, monkeypatch, capsys, option, source):
+    # the options went unchecked until run(): compare --matrix parsed and
+    # factorized the file and printed its problem line before exiting 1
+    save_matrix(tmp_path / "A.txt", np.eye(3))
+    monkeypatch.setattr(cli, "load_matrix", lambda *a, **kw: pytest.fail("the matrix was read"))
+    argv = ["compare", "--matrix", str(tmp_path / "A.txt")]
+    if source == "flag":
+        argv += option
+    else:
+        value = int(option[1]) if option[0] == "--max-iters" else float(option[1])
+        (tmp_path / "conf.json").write_text(json.dumps({option[0][2:].replace("-", "_"): value}))
+        argv += ["--config", str(tmp_path / "conf.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = option[0][2:].replace("-", "_")
+    assert captured.err.splitlines() == [captured.err.strip()] and captured.err.startswith(f"utamp: error: {name} must be"), captured.err
+
+
 @pytest.mark.parametrize(
     "knob, field", [("kappa=inf", "condition_number"), ("kappa=nan", "condition_number"), ("mu_a=inf", "mean_shift"), ("mu_a=nan", "mean_shift")]
 )

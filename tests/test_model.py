@@ -20,6 +20,7 @@ from utamp import (
     FactorizationError,
     GaussianPrior,
     LinearModel,
+    RealDftFactorization,
     SvdFactorization,
     bg_denoise,
     circulant_factorize,
@@ -1019,3 +1020,87 @@ def test_fft_kernel_runs_in_a_forked_child(monkeypatch):
         child.join()
         pytest.fail("the forked child's transform did not finish within 60 s")
     assert child.exitcode == 0
+
+
+# ------------------------------------------------------------- real FFT and the half spectrum
+
+
+def _half_order(n):
+    # where _rfft puts each DFT bin: _fft's order for the length-n/2
+    # transform, then bin n/2; DFT order below the threshold and for odd n
+    if n < _threads._FOUR_STEP_MIN or n % 2:
+        return np.arange(n // 2 + 1)
+    return np.r_[np.arange(n // 2)[_threads._order(n // 2)], n // 2]
+
+
+# small, below the threshold; n/2 below it (DFT order); n/2 four-step; n/2
+# prime (pocketfft's fallback, DFT order); odd at the threshold (one rfft call)
+_REAL_LENGTHS = [1, 2, 7, 4096, 2**16, 2**18, 2 * 65_537, 2**17 + 1]
+
+
+@pytest.mark.parametrize("n", _REAL_LENGTHS)
+def test_real_fft_kernel_matches_numpy(n):
+    rng = np.random.default_rng(n + 2)
+    x = rng.standard_normal(n)
+    order, frozen = _half_order(n), x.tobytes()
+    for norm in ("ortho", "backward"):
+        want = np.fft.rfft(x, norm=norm)[order]
+        got = _threads._rfft(x, norm)
+        assert x.tobytes() == frozen and got.dtype == np.complex128 and got.shape == (n // 2 + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), norm
+    # the inverse, on a spectrum that is not Hermitian at bins 0 and n/2:
+    # their imaginary parts are not read, as in np.fft.irfft
+    z = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    want = np.fft.irfft(z, n=n, norm="ortho")
+    got = _threads._irfft(z[order].copy(), n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", _REAL_LENGTHS)
+def test_half_spectrum_applies_are_adjoint_under_the_weights(n):
+    rng = np.random.default_rng(n + 3)
+    full = circulant_factorize(rng.standard_normal(n))
+    fact = full.half_spectrum()
+    assert isinstance(fact, RealDftFactorization) and fact.column is full.column
+    assert fact.bins == fact.lam.size == n // 2 + 1 and fact.shape == (n, n)
+    # bins 1 .. (n-1)//2 stand for two entries; bin n/2 of an even n for one
+    assert fact.unpaired == ((0, n // 2) if n % 2 == 0 else (0,))
+    w = np.full(fact.bins, 2.0)
+    w[list(fact.unpaired)] = 1.0
+    assert w.sum() == n
+    order = _half_order(n)
+    want = np.fft.rfft(full.column)[order]
+    assert np.max(np.abs(fact.lam - want)) <= 1e-13 * np.max(np.abs(want))
+
+    x = rng.standard_normal(n)
+    s = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    frozen = x.tobytes(), s.tobytes()
+    ax, ahs = fact.apply_av(x), fact.apply_avh(s)
+    assert (x.tobytes(), s.tobytes()) == frozen
+    assert ax.shape == (n // 2 + 1,) and ahs.dtype == np.float64 and ahs.shape == (n,)
+    # <s, Lam V x> over the n entries of U^H y is the weighted sum over the bins
+    lhs = float(np.sum(w * (s.conj() * ax).real))
+    assert abs(lhs - ahs @ x) <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(ax) * np.sqrt(2)
+    # the bins of the complex factorization's Lam V x, weighted, keep its norm
+    full_ax = full.apply_av(x)
+    assert np.isclose(np.sum(w * np.abs(ax) ** 2), np.sum(np.abs(full_ax) ** 2), rtol=1e-12)
+    y = rng.standard_normal(n)
+    assert np.max(np.abs(LinearModel(fact, y, 0.1).transformed.r - np.fft.rfft(y, norm="ortho")[order])) <= 1e-13 * np.linalg.norm(y)
+
+
+def test_half_spectrum_needs_real_taps():
+    with pytest.raises(FactorizationError):
+        circulant_factorize(np.ones(4) + 1j).half_spectrum()
+
+
+@pytest.mark.parametrize("n", [5, 2**16, 5 * 2**16 + 7])
+def test_blockwise_slices_and_results_do_not_depend_on_the_worker_count(monkeypatch, n):
+    # partial sums added in slice order give the same bits on any machine
+    got = {}
+    for count in (1, 2, 3, 7):
+        monkeypatch.setattr(_threads, "_workers", lambda: count)
+        got[count] = _threads._blockwise(lambda b: (b.start, b.stop), n)
+    step = _threads._FOUR_STEP_MIN
+    want = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    assert all(v == want for v in got.values()), got

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from utamp import (
     ALGORITHMS,
@@ -15,6 +17,7 @@ from utamp import (
     BernoulliGaussianPrior,
     DftFactorization,
     LinearModel,
+    RealDftFactorization,
     certify,
     circulant_taps,
     TransformedModel,
@@ -31,7 +34,8 @@ from utamp import (
     variance_fixed_point,
     vector_amp_step,
 )
-from utamp import _threads
+from utamp import _threads, solvers
+from utamp.model import circulant_matrix
 
 
 def lmmse_oracle(A, y, sigma2, x0, tau0):
@@ -800,3 +804,165 @@ def test_amp_step_does_not_copy_a_complex_a(case):
     finally:
         tracemalloc.stop()
     assert peak < A.nbytes / 4, f"peak {peak / A.nbytes:.2f} x A's bytes"
+
+
+# ---------------------------------------------------------------- two applies per iteration, real half spectrum
+
+
+def _circulant_model(n, seed, prior, complex_taps=False, complex_y=False, sigma2=0.01):
+    # y = A x + n for the circulant A with random taps, made by a dense product
+    rng = np.random.default_rng(seed)
+    taps = rng.standard_normal(n) / np.sqrt(n) + (1j * rng.standard_normal(n) / np.sqrt(n) if complex_taps else 0)
+    x = prior.sample(n, rng)
+    y = np.fft.ifft(np.fft.fft(taps) * np.fft.fft(x)) + np.sqrt(sigma2) * rng.standard_normal(n)
+    y = y if complex_taps or np.iscomplexobj(x) else y.real
+    y = y.astype(complex) if complex_y else y
+    return LinearModel(circulant_factorize(taps), y, sigma2, x), taps
+
+
+def _count_applies(monkeypatch):
+    from utamp.model import Factorization
+
+    calls = []
+    for name in ("apply_av", "apply_avh"):
+        original = getattr(Factorization, name)
+        monkeypatch.setattr(Factorization, name, lambda self, v, _f=original, _n=name: calls.append(_n) or _f(self, v))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["real_circulant", "complex_circulant", "svd"])
+@pytest.mark.parametrize("max_iters", [0, 7, 500])
+def test_utamp_run_makes_two_applies_per_iteration(monkeypatch, case, max_iters):
+    # the step's own Lam V x gives the previous state's residual; only the
+    # last state's residual costs an apply of its own (a separate residual
+    # apply made three per iteration)
+    prior = GaussianPrior()
+    if case == "svd":
+        model, _ = _oracle_case("tall")
+    else:
+        model, _ = _circulant_model(48, 3, prior, complex_taps=case == "complex_circulant")
+    model.transformed  # r = U^H y is no apply
+    calls = _count_applies(monkeypatch)
+    state, trace = run("utamp", model, prior, max_iters=max_iters, x_tol=1e-12)
+    assert max_iters == 0 or state.t > 5
+    assert len(calls) == 2 * state.t + 1, (calls.count("apply_av"), calls.count("apply_avh"), state.t)
+    assert calls.count("apply_avh") == state.t
+
+
+def _spied_run(model, prior, **kw):
+    # run() with every state the utamp step starts from, and the transformed
+    # model it steps on
+    seen, steps = [], []
+    original = solvers.ut_amp_step
+
+    def spy(state, tmodel, *args, **kwargs):
+        seen.append(state.x)
+        steps.append(tmodel)
+        return original(state, tmodel, *args, **kwargs)
+
+    solvers.ut_amp_step = spy
+    try:
+        state, trace = run("utamp", model, prior, **kw)
+    finally:
+        solvers.ut_amp_step = original
+    return state, trace, seen + [state.x], steps
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 40),
+    bg=st.booleans(),
+    seed=st.integers(0, 2**16),
+    sigma2=st.sampled_from([1e-4, 1e-2, 1.0]),
+)
+@example(n=1, bg=False, seed=0, sigma2=1e-2)
+@example(n=2, bg=True, seed=1, sigma2=1e-2)
+@example(n=7, bg=False, seed=2, sigma2=1e-4)
+@example(n=7, bg=True, seed=3, sigma2=1e-2)
+@example(n=2**17, bg=True, seed=4, sigma2=1e-3)  # pairs bins in the four-step FFT's order
+def test_real_circulant_runs_on_the_half_spectrum_like_the_complex_route(n, bg, seed, sigma2):
+    prior = BernoulliGaussianPrior(rho=0.3) if bg else GaussianPrior(x0=0.2, tau0=1.5)
+    model, taps = _circulant_model(n, seed, prior, sigma2=sigma2)
+    # the same problem with y cast to complex takes the complex route
+    twin = LinearModel(model.fact, model.y.astype(complex), sigma2, model.x_true)
+    kw = dict(max_iters=8 if n > 4096 else 200, x_tol=1e-9)
+    state, trace, xs, steps = _spied_run(model, prior, **kw)
+    want, want_trace = run("utamp", twin, prior, **kw)
+
+    assert all(isinstance(tm.fact, RealDftFactorization) for tm in steps)
+    assert state.x.dtype == np.float64 and state.s.shape == (n // 2 + 1,)
+    assert (trace.status, state.t) == (want_trace.status, want.t)
+    scale = max(float(np.max(np.abs(want.x))), 1e-300)
+    assert np.max(np.abs(state.x - want.x.real)) <= 1e-12 * scale
+    for name in ("tau_x", "tau_q", "mse"):
+        got, ref = trace.column(name)[1:], want_trace.column(name)[1:]
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0, err_msg=name)
+    if n <= 4096:
+        A = circulant_matrix(taps)
+        direct = [np.linalg.norm(model.y - A @ x) for x in xs]
+    else:
+        direct = [np.linalg.norm(model.y - model.fact.matvec(x)) for x in xs]
+    # both sides round r - Lam V x (or y - A x) to within a few eps ||y||,
+    # which a residual that nearly cancels y turns into more than rtol
+    np.testing.assert_allclose(trace.column("residual"), direct, rtol=1e-12, atol=1e-14 * np.linalg.norm(model.y))
+
+
+def _manual_utamp(model, prior, max_iters, x_tol):
+    # the complex route as run() took it before the half spectrum: the
+    # model's own transformed model and a state of r's dtype
+    tm = model.transformed
+    state = initial_state("utamp", model.N, model.M, prior, dtype=np.result_type(tm.r.dtype, float))
+    for _ in range(max_iters):
+        prev = state.x
+        state, tau_q = ut_amp_step(state, tm, prior)
+        if np.linalg.norm(state.x - prev) / max(np.linalg.norm(state.x), 1e-300) <= x_tol:
+            break
+    return state
+
+
+@pytest.mark.parametrize("case", ["complex_taps", "complex_y", "complex_prior", "complex_x0"])
+def test_complex_circulant_problems_stay_on_the_complex_route_bit_for_bit(case):
+    prior = {
+        "complex_prior": BernoulliGaussianPrior(rho=0.3, mu=0.5, complex_valued=True),
+        "complex_x0": GaussianPrior(x0=0.3 + 0.1j),
+    }.get(case, BernoulliGaussianPrior(rho=0.3))
+    model, _ = _circulant_model(32, 5, prior, complex_taps=case == "complex_taps", complex_y=case == "complex_y")
+    state, trace, _, steps = _spied_run(model, prior, max_iters=60, x_tol=1e-12)
+    assert all(type(tm.fact) is DftFactorization for tm in steps) and steps[0] is model.transformed
+    want = _manual_utamp(model, prior, 60, 1e-12)
+    assert state.t == want.t
+    for got, ref in [(state.x, want.x), (state.s, want.s), (np.asarray(state.tau_x), np.asarray(want.tau_x))]:
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_a_hand_built_transformed_model_still_steps():
+    # the custom-loop route: TransformedModel from (fact, r, sigma2, lam_p),
+    # a complex s, and the bare step, as a benchmark or a user builds it
+    prior = BernoulliGaussianPrior(rho=0.2)
+    model, _ = _circulant_model(64, 6, prior)
+    fact = model.fact
+    lam_p = np.abs(fact.lam) ** 2
+    tm = TransformedModel(fact=fact, r=fact.apply_uh(model.y), sigma2=model.sigma2, lam_p=lam_p)
+    ref = model.transformed
+    a = b = initial_state("utamp", 64, 64, prior, dtype=complex)
+    for _ in range(5):
+        a, tau_a = ut_amp_step(a, tm, prior)
+        b, tau_b = ut_amp_step(b, ref, prior)
+        assert a.x.tobytes() == b.x.tobytes() and a.s.tobytes() == b.s.tobytes() and tau_a == tau_b
+    assert a.s.dtype == np.complex128 and np.all(np.isfinite(a.x))
+
+
+@pytest.mark.parametrize("algorithm", ["vector", "scalar", "utamp"])
+def test_a_step_reports_the_residual_of_the_state_it_was_given(algorithm):
+    prior = GaussianPrior()
+    model = synthesize_instance(generate_matrix(EnsembleSpec(kind="iid_gaussian", M=20, N=12, seed=4)), prior, 0.05, seed=4)
+    problem = model.transformed if algorithm == "utamp" else model
+    step = {"vector": vector_amp_step, "scalar": scalar_amp_step, "utamp": ut_amp_step}[algorithm]
+    state = initial_state(algorithm, 12, 20, prior)
+    residual = np.empty(1)
+    for _ in range(3):
+        new, tau_q = step(state, problem, prior, residual=residual)
+        assert np.isclose(residual[0], np.linalg.norm(model.y - model.A @ state.x), rtol=1e-12, atol=0.0)
+        plain, plain_tau_q = step(state, problem, prior)
+        assert new.x.tobytes() == plain.x.tobytes() and new.s.tobytes() == plain.s.tobytes()
+        state = new
