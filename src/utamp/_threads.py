@@ -1,11 +1,9 @@
 """The worker threads of the package and the FFT that runs on them.
 
 _fft is the one FFT kernel of the DFT route; a long transform runs as a
-threaded four-step FFT, in place and in its own output order (_order).
-_rfft and _irfft, the real transforms of the half-spectrum route, run a
-long one as one _fft of half the length and a twiddle pass.  The threads
-(_split) also run a step's long elementwise chains in cache-sized blocks
-(_blockwise); matrixio's forked file I/O reads _workers as well.
+threaded four-step FFT, in place and in its own output order (_order).  The
+threads (_split) also run a step's long elementwise chains in cache-sized
+blocks (_blockwise); matrixio's forked file I/O reads _workers as well.
 """
 
 from __future__ import annotations
@@ -100,107 +98,6 @@ def _four_step(z: np.ndarray, n1: int, n2: int, tw: np.ndarray, norm: str, inver
     return z
 
 
-def _rfft(x: np.ndarray, norm: str = "ortho") -> np.ndarray:
-    """Bins 0..n//2 of the DFT of the real vector x (length n), as a new
-    complex128 array, for norm "ortho" or "backward".  Below _FOUR_STEP_MIN,
-    and for odd n, one pocketfft rfft call, in DFT order.  From there up the
-    n/2 complex samples x[2j] + i x[2j+1] go through one _fft of length n/2
-    and one twiddle pass that pairs bin k with bin n/2 - k (Sorensen, Jones,
-    Heideman and Burrus, IEEE TASSP 1987): bins 0..n/2-1 come in _order(n/2)'s
-    order and bin n/2 last.  np.fft.rfft runs on one thread, _fft on all."""
-    n = x.size
-    if n < _FOUR_STEP_MIN or n % 2:
-        return np.fft.rfft(x, norm=norm)
-    h = n // 2
-    z = _fft(np.array(x, dtype=np.float64).view(np.complex128), norm=norm)
-    out = np.empty(h + 1, np.complex128)
-    # X_k = conj(Z_{h-k}) + alpha_k (Z_k - conj(Z_{h-k})); with Z/sqrt(h) in
-    # z, the ortho X is that over sqrt 2
-    scale = math.sqrt(0.5) if norm == "ortho" else 1.0
-    _pair_bins(z, out[:h], z[0], scale, inverse=False)
-    out[h] = scale * (z[0].real - z[0].imag)
-    return out
-
-
-def _irfft(z: np.ndarray, n: int) -> np.ndarray:
-    """The real vector of length n whose ortho-normalized DFT has bins
-    0..n//2 in z (in _rfft's order), as a new float64 array: _rfft's inverse
-    and adjoint.  The imaginary parts of bin 0 and, for even n, bin n/2 are
-    not read."""
-    if n < _FOUR_STEP_MIN or n % 2:
-        return np.fft.irfft(z, n=n, norm="ortho")
-    h = n // 2
-    w = np.empty(h, np.complex128)
-    # Z_k = conj(X_{h-k} + alpha_k (conj(X_k) - X_{h-k})), the forward pass
-    # solved for Z; sqrt 2 undoes the ortho scaling of both lengths
-    _pair_bins(z[:h], w, z[h], math.sqrt(2.0), inverse=True)
-    # bin 0 from the real parts alone, as np.fft.irfft reads it
-    x0, xh = z[0].real, z[h].real
-    w[0] = math.sqrt(0.5) * complex(x0 + xh, x0 - xh)
-    return _fft(w, inverse=True).view(np.float64)
-
-
-@lru_cache(maxsize=2)
-def _real_twiddles(n: int, n1: int) -> np.ndarray:
-    """alpha_k = (1 - i W^k) / 2, W = exp(-2 pi i / n), for the bins k < n/2,
-    as an (n/2 / n1) x n1 array laid out as _fft(length n/2) leaves them: bin
-    k2 + n2 k1 at [k2, k1].  The table is read-only and shared."""
-    n2 = n // 2 // n1
-    k = np.add.outer(np.arange(n2, dtype=float), n2 * np.arange(n1, dtype=float))
-    angle = k * (2.0 * np.pi / n)
-    alpha = np.empty(k.shape, np.complex128)
-    np.sin(angle, out=alpha.real)
-    np.subtract(1.0, alpha.real, out=alpha.real)
-    alpha.real *= 0.5
-    np.cos(angle, out=alpha.imag)
-    alpha.imag *= -0.5
-    alpha.flags.writeable = False
-    return alpha
-
-
-def _pair_bins(a: np.ndarray, out: np.ndarray, mirror0, scale: float, inverse: bool) -> None:
-    """The twiddle pass of _rfft (inverse=False: a holds Z, the length-h FFT)
-    or _irfft (inverse=True: a holds X_0..X_{h-1}), out[pos] from a[pos] and
-    the bin h - k at its mirror position.  Seen as the n2 x n1 array of
-    _fft's positions (bin k2 + n2 k1 at [k2, k1]; 1 x h in DFT order), the
-    mirror of row k2 >= 1 is row n2 - k2 reversed, a strided view, and row 0
-    maps k1 to (n1 - k1) mod n1; mirror0 is the value paired with bin 0 (Z_0
-    forward, X_h inverse).  Rows run in blocks on the workers."""
-    h = a.size
-    plan = _four_step_plan(h) if h >= _FOUR_STEP_MIN else None
-    n1 = plan[0] if plan is not None else h
-    n2 = h // n1
-    alpha = _real_twiddles(2 * h, n1)
-    a2, o2 = a.reshape(n2, n1), out.reshape(n2, n1)
-
-    def pair(p, mirror, o, al):
-        if inverse:
-            # conj(mirror + alpha (conj(p) - mirror))
-            np.conjugate(p, out=o)
-            o -= mirror
-            o *= al
-            o += mirror
-            np.conjugate(o, out=o)
-        else:
-            # conj(mirror) + alpha (p - conj(mirror))
-            m = np.conjugate(mirror)
-            np.subtract(p, m, out=o)
-            o *= al
-            o += m
-        if scale != 1.0:
-            o *= scale
-
-    row0 = np.concatenate(([mirror0], a2[0, :0:-1]))
-    pair(a2[0], row0, o2[0], alpha[0])
-
-    def rows(r):
-        lo, hi = r.start + 1, r.stop + 1
-        pair(a2[lo:hi], a2[n2 - lo : n2 - hi : -1, ::-1], o2[lo:hi], alpha[lo:hi])
-
-    if n2 > 1:
-        _split(rows, n2 - 1, max(1, _FOUR_STEP_MIN // n1))
-
-
 def _workers() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -209,17 +106,21 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _split(fn, m: int, step: int = 0) -> list:
+def _split(fn, m: int, step: int = 0, aligned: bool = False) -> list:
     """Call fn on slices of range(m), one part per worker (the caller takes the
     first), each walked at most step at a time (whole when 0), and return fn's
-    results in slice order.  With a step the parts start at multiples of it, so
-    the slices do not depend on the number of workers.  fn must not call
+    results in slice order.  aligned starts every part at a multiple of step,
+    so that the slices do not depend on the number of workers, at the price of
+    uneven parts; else the parts are as even as m allows.  fn must not call
     _split: the pool has one thread fewer than the workers, so nesting can
     deadlock."""
-    unit = step or 1
-    blocks = -(-m // unit)
-    k = min(_workers(), blocks)
-    bounds = [min(m, unit * (blocks * i // k)) for i in range(k + 1)]
+    if aligned:
+        blocks = -(-m // step)
+        k = min(_workers(), blocks)
+        bounds = [min(m, step * (blocks * i // k)) for i in range(k + 1)]
+    else:
+        k = min(_workers(), m)
+        bounds = [m * i // k for i in range(k + 1)]
 
     def walk(lo, hi):
         size = step or hi - lo
@@ -236,18 +137,18 @@ def _split(fn, m: int, step: int = 0) -> list:
     return results
 
 
-def _blockwise(fn, n: int) -> list:
-    """Call fn on consecutive slices of range(n), at most _FOUR_STEP_MIN long
-    and starting at its multiples, so that a chain of elementwise passes runs
-    on a slice while it is in cache: on the workers (_split) from
-    _FOUR_STEP_MIN up, else inline.  Returns fn's results in slice order, so
-    that partial sums added in that order do not depend on the number of
-    workers.  A worker does not inherit the caller's np.errstate; fn enters
-    its own.  fn takes each view once, so numpy skips its overlap check on
-    out=."""
+def _blockwise(fn, n: int, aligned: bool = False) -> list:
+    """Call fn on consecutive slices of range(n), at most _FOUR_STEP_MIN long,
+    so that a chain of elementwise passes runs on a slice while it is in
+    cache: on the workers (_split) from _FOUR_STEP_MIN up, else inline, and
+    return fn's results in slice order.  A reduction passes aligned, which
+    starts the slices at multiples of _FOUR_STEP_MIN whatever the number of
+    workers, so that its partial sums, added in order, do not depend on it.
+    A worker does not inherit the caller's np.errstate; fn enters its own.
+    fn takes each view once, so numpy skips its overlap check on out=."""
     if n < _FOUR_STEP_MIN:
         return [fn(slice(0, n))]
-    return _split(fn, n, _FOUR_STEP_MIN)
+    return _split(fn, n, _FOUR_STEP_MIN, aligned)
 
 
 def _executor():

@@ -10,8 +10,8 @@ Householder reflectors of a QR factorization and the k x k U_R of an SVD of
 its triangle; DftFactorization applies the DFT of a circulant A by FFTs,
 densifies A from its first column, and builds U or V only when read;
 RealDftFactorization holds a real circulant A on the N//2 + 1 bins of the
-half spectrum, for real x.  Every FFT goes through _threads._fft, in _fft's
-order (the real transforms through _threads._rfft and _irfft), and the
+half spectrum, for real x.  Every complex FFT goes through _threads._fft, in
+_fft's order (the real transforms are pocketfft's rfft and irfft), and the
 applies run their elementwise passes in blocks on its worker threads.
 """
 
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._threads import _blockwise, _fft, _irfft, _order, _rfft
+from ._threads import _blockwise, _fft, _order
 
 __all__ = [
     "LinearModel",
@@ -159,10 +159,6 @@ class Factorization:
     lam: np.ndarray
     shape: tuple[int, int]
 
-    # the bins that count once in a sum over the entries of U^H y, the others
-    # counting twice (RealDftFactorization); None: every bin counts once
-    unpaired = None
-
     @property
     def M(self) -> int:
         return self.shape[0]
@@ -175,6 +171,12 @@ class Factorization:
     def bins(self) -> int:
         """The length of U^H y as this class holds it (M here)."""
         return self.M
+
+    def bin_sum(self, total: float, term, lo: int = 0, hi: int | None = None) -> float:
+        """A sum over the entries of U^H y that bins lo..hi-1 (all when hi is
+        None) stand for, from total, the plain sum over those bins, and
+        term(i), bin i's summand.  Every bin stands for one entry here."""
+        return total
 
     def apply_av(self, x: np.ndarray) -> np.ndarray:
         """Return Lam V x (length bins, zero past k) without forming A."""
@@ -308,7 +310,7 @@ class DftFactorization(Factorization):
         """The same real circulant A on real x, with N//2 + 1 bins."""
         if np.iscomplexobj(self.column):
             raise FactorizationError("the half spectrum needs a real first column")
-        return RealDftFactorization(lam=_rfft(self.column, norm="backward"), shape=self.shape, column=self.column)
+        return RealDftFactorization(lam=np.fft.rfft(self.column, norm="backward"), shape=self.shape, column=self.column)
 
 
 @dataclass(eq=False)
@@ -316,17 +318,17 @@ class RealDftFactorization(Factorization):
     """A circulant A with a real first column, applied to real x only.
 
     The DFT of a real vector is Hermitian, so its bins 0..N//2 hold all of
-    it: bins = N//2 + 1.  V x is those bins of the normalized DFT, in
-    _threads._rfft's order, and lam holds A's eigenvalues on them; _vh is
-    the real inverse transform of the Hermitian spectrum, so x stays real.
-    A sum over the N entries of U^H y is the sum over the bins with weights
-    1, 2, ..., 2, 1: bin k, 0 < k < N/2, stands for itself and its mirror
-    N - k.  The last weight is 1 only for even N, where bin N/2 is its own
-    mirror; for odd N it is 2.  The transform-domain step and the residual
-    take such a sum as twice the plain sum less the unpaired bins.
-    DftFactorization.half_spectrum builds one; there is no dense U or V,
-    and lam holds N//2 + 1 of A's N eigenvalues, so what reads lam as A's
-    spectrum (certify) takes the complex DftFactorization."""
+    it: bins = N//2 + 1.  V x is those bins of the normalized DFT, in DFT
+    order (np.fft.rfft), and lam holds A's eigenvalues on them; _vh is the
+    real inverse transform of the Hermitian spectrum (np.fft.irfft), so x
+    stays real.  Both run on the calling thread at every N.  A sum over the
+    N entries of U^H y is the sum over the bins with weights 1, 2, ..., 2,
+    1: bin k, 0 < k < N/2, stands for itself and its mirror N - k.  The
+    last weight is 1 only for even N, where bin N/2 is its own mirror; for
+    odd N it is 2.  bin_sum takes such a sum as twice the plain sum less
+    the unpaired bins.  DftFactorization.half_spectrum builds one; there is
+    no dense U or V, and lam holds N//2 + 1 of A's N eigenvalues, so what
+    reads lam as A's spectrum (certify) takes the complex DftFactorization."""
 
     column: np.ndarray = field(repr=False)
     bins = property(lambda self: self.lam.size)
@@ -337,11 +339,15 @@ class RealDftFactorization(Factorization):
         bin N/2 (the last) for even N."""
         return (0, self.bins - 1) if self.N % 2 == 0 else (0,)
 
+    def bin_sum(self, total: float, term, lo: int = 0, hi: int | None = None) -> float:
+        hi = self.bins if hi is None else hi
+        return 2.0 * total - sum(term(i) for i in self.unpaired if lo <= i < hi)
+
     def _v(self, x: np.ndarray) -> np.ndarray:
-        return _rfft(x)
+        return np.fft.rfft(x, norm="ortho")
 
     def _vh(self, z: np.ndarray) -> np.ndarray:
-        return _irfft(z, self.N)
+        return np.fft.irfft(z, n=self.N, norm="ortho")
 
     transform = _v
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .denoisers import GaussianPrior
 from ._threads import _blockwise
-from .model import DftFactorization, LinearModel, RealDftFactorization, TransformedModel, _matmul, _matmul_h
+from .model import DftFactorization, Factorization, LinearModel, TransformedModel, _matmul, _matmul_h
 
 __all__ = [
     "ALGORITHMS",
@@ -79,22 +79,22 @@ def _guarded_correction(x, tau_q, corr):
     return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
 
 
-def _sumsq(d: np.ndarray, unpaired=None, start=0) -> float:
-    """sum_i w_i |d_i|^2 over d, the block of a vector from index start,
-    with the factorization's weights: w_i = 1 when unpaired is None, else 2
-    but 1 at the indices in unpaired.  The plain sum is an einsum on d's
-    float view, numpy's own loop, so no BLAS call runs on a worker thread."""
+def _sumsq(d: np.ndarray, fact=None, start=0) -> float:
+    """The sum of |d_i|^2 over d, the block of a vector from index start,
+    with fact's bin weights (fact.bin_sum) when d lives on its bins.  The
+    plain sum is an einsum on d's float view, numpy's own loop, so no BLAS
+    call runs on a worker thread."""
     v = d.view(np.float64)
     total = float(np.einsum("i,i", v, v))
-    if unpaired is None:
+    if fact is None:
         return total
-    return 2.0 * total - sum(abs(d[i - start]) ** 2 for i in unpaired if start <= i < start + d.size)
+    return fact.bin_sum(total, lambda i: abs(d[i - start]) ** 2, start, start + d.size)
 
 
-def _norm(d: np.ndarray, unpaired=None) -> float:
-    """sqrt(_sumsq(d, unpaired)) in one blocked pass, the blocks' sums added
-    in block order, so the result does not depend on the number of CPUs."""
-    return math.sqrt(sum(_blockwise(lambda b: _sumsq(d[b], unpaired, b.start), d.size)))
+def _norm(d: np.ndarray, fact=None) -> float:
+    """sqrt(_sumsq(d, fact)) in one blocked pass, the blocks' sums added in
+    block order, so the result does not depend on the number of CPUs."""
+    return math.sqrt(sum(_blockwise(lambda b: _sumsq(d[b], fact, b.start), d.size, aligned=True)))
 
 
 def vector_amp_step(
@@ -152,8 +152,8 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     variances stay per element: tau_p = tau_x * lam_p, where lam_p holds the
     squared singular values padded to the length of r.  The
     pseudo-observation variance is N / <lam_p, tau_s>, the sum taken with
-    the factorization's weights when it has unpaired bins
-    (RealDftFactorization).
+    the factorization's bin weights (fact.bin_sum; 1, 2, ..., 2, 1 on the
+    half spectrum of RealDftFactorization).
 
     Outside the denoiser the step holds at most three arrays of r's length
     of its own: p (built in the output of apply_av), tau_s and s until the
@@ -168,8 +168,9 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     product Lam V x before p overwrites it.
     """
     fact = tmodel.fact
-    # a factorization-like object without unpaired counts every bin once
-    unpaired = getattr(fact, "unpaired", None)
+    # the bin weights live on the Factorization; a bare transform with only
+    # the two applies (a full-SVD oracle, say) counts every bin once
+    weights = fact if isinstance(fact, Factorization) else None
     tau_x = state.tau_x_mean()
     p = fact.apply_av(state.x)
     dtype = np.result_type(p, state.s, tmodel.r)
@@ -179,7 +180,7 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     def chain(b):
         p_b, tau_s_b, s_b = p[b], tau_s[b], s[b]
         # r - Lam V x in s's block, before s is built there
-        part = None if residual is None else _sumsq(np.subtract(tmodel.r[b], p_b, out=s_b), unpaired, b.start)
+        part = None if residual is None else _sumsq(np.subtract(tmodel.r[b], p_b, out=s_b), weights, b.start)
         tau_p_b = np.multiply(tau_x, tmodel.lam_p[b])
         np.multiply(tau_p_b, state.s[b], out=s_b, dtype=dtype)
         p_b -= s_b
@@ -189,14 +190,14 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
         np.multiply(tau_s_b, s_b, out=s_b)
         return part
 
-    parts = _blockwise(chain, p.size)
+    parts = _blockwise(chain, p.size, aligned=residual is not None)
     if residual is not None:
         residual[0] = math.sqrt(sum(parts))
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
     denom = float(np.einsum("i,i", tmodel.lam_p, tau_s))
-    if unpaired is not None:
-        denom = 2.0 * denom - sum(tmodel.lam_p[i] * tau_s[i] for i in unpaired)
+    if weights is not None:
+        denom = weights.bin_sum(denom, lambda i: tmodel.lam_p[i] * tau_s[i])
     del p, tau_s  # before apply_avh allocates q
     tau_q = tmodel.N / denom if denom > 0 else np.inf
     q = _guarded_correction(state.x, tau_q, fact.apply_avh(s))
@@ -316,7 +317,7 @@ def run(
     _check_max_iters(max_iters)
     _check_x_tol(x_tol)
 
-    unpaired = None
+    weights = None  # the factorization whose bins target lives on, if any
     if algorithm == "utamp":
         fact = model.fact
         real = (
@@ -326,8 +327,8 @@ def run(
             and not getattr(prior, "complex_valued", True)
         )
         problem = LinearModel(fact.half_spectrum(), model.y, model.sigma2).transformed if real else model.transformed
-        target, product, unpaired = problem.r, problem.fact.apply_av, problem.fact.unpaired
-        dtype = float if isinstance(problem.fact, RealDftFactorization) else np.result_type(problem.r.dtype, float)
+        target, product, weights = problem.r, problem.fact.apply_av, problem.fact
+        dtype = float if real else np.result_type(problem.r.dtype, float)
         step = ut_amp_step
     else:
         problem = model
@@ -341,7 +342,7 @@ def run(
     finite, residual = np.empty(target.size, bool), np.empty(1)
 
     def sq_distance(a, c):  # ||a - c||^2 in one blocked pass through diff
-        return sum(_blockwise(lambda b: _sumsq(np.subtract(a[b], c[b], out=diff[b])), n))
+        return sum(_blockwise(lambda b: _sumsq(np.subtract(a[b], c[b], out=diff[b])), n, aligned=True))
 
     trace, tau_q, rel = Trace(), None, None
     while True:
@@ -369,7 +370,7 @@ def run(
             tau_q = _mean(tau_q)
             continue
         # the one product no step shares
-        trace.last()["residual"] = _norm(target - product(x), unpaired)
+        trace.last()["residual"] = _norm(target - product(x), weights)
         return state, trace
 
 

@@ -1022,39 +1022,12 @@ def test_fft_kernel_runs_in_a_forked_child(monkeypatch):
     assert child.exitcode == 0
 
 
-# ------------------------------------------------------------- real FFT and the half spectrum
+# ------------------------------------------------------------- the half spectrum
 
 
-def _half_order(n):
-    # where _rfft puts each DFT bin: _fft's order for the length-n/2
-    # transform, then bin n/2; DFT order below the threshold and for odd n
-    if n < _threads._FOUR_STEP_MIN or n % 2:
-        return np.arange(n // 2 + 1)
-    return np.r_[np.arange(n // 2)[_threads._order(n // 2)], n // 2]
-
-
-# small, below the threshold; n/2 below it (DFT order); n/2 four-step; n/2
-# prime (pocketfft's fallback, DFT order); odd at the threshold (one rfft call)
-_REAL_LENGTHS = [1, 2, 7, 4096, 2**16, 2**18, 2 * 65_537, 2**17 + 1]
-
-
-@pytest.mark.parametrize("n", _REAL_LENGTHS)
-def test_real_fft_kernel_matches_numpy(n):
-    rng = np.random.default_rng(n + 2)
-    x = rng.standard_normal(n)
-    order, frozen = _half_order(n), x.tobytes()
-    for norm in ("ortho", "backward"):
-        want = np.fft.rfft(x, norm=norm)[order]
-        got = _threads._rfft(x, norm)
-        assert x.tobytes() == frozen and got.dtype == np.complex128 and got.shape == (n // 2 + 1,)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), norm
-    # the inverse, on a spectrum that is not Hermitian at bins 0 and n/2:
-    # their imaginary parts are not read, as in np.fft.irfft
-    z = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
-    want = np.fft.irfft(z, n=n, norm="ortho")
-    got = _threads._irfft(z[order].copy(), n)
-    assert got.dtype == np.float64 and got.shape == (n,)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+# small, even and odd; even and odd with 2^16 + 1 bins, where the Lam
+# multiplies of the applies run in blocks on the workers
+_REAL_LENGTHS = [1, 2, 7, 4096, 2**17, 2**17 + 1]
 
 
 @pytest.mark.parametrize("n", _REAL_LENGTHS)
@@ -1069,8 +1042,11 @@ def test_half_spectrum_applies_are_adjoint_under_the_weights(n):
     w = np.full(fact.bins, 2.0)
     w[list(fact.unpaired)] = 1.0
     assert w.sum() == n
-    order = _half_order(n)
-    want = np.fft.rfft(full.column)[order]
+    v = rng.standard_normal(fact.bins)
+    assert np.isclose(fact.bin_sum(v.sum(), lambda i: v[i]), w @ v, rtol=1e-12)
+    # a block that starts at bin 1 corrects only the unpaired bins it holds
+    assert fact.bin_sum(v[1:].sum(), lambda i: v[i], 1, fact.bins) == 2.0 * v[1:].sum() - (v[-1] if n % 2 == 0 and n > 1 else 0.0)
+    want = np.fft.rfft(full.column)
     assert np.max(np.abs(fact.lam - want)) <= 1e-13 * np.max(np.abs(want))
 
     x = rng.standard_normal(n)
@@ -1086,7 +1062,7 @@ def test_half_spectrum_applies_are_adjoint_under_the_weights(n):
     full_ax = full.apply_av(x)
     assert np.isclose(np.sum(w * np.abs(ax) ** 2), np.sum(np.abs(full_ax) ** 2), rtol=1e-12)
     y = rng.standard_normal(n)
-    assert np.max(np.abs(LinearModel(fact, y, 0.1).transformed.r - np.fft.rfft(y, norm="ortho")[order])) <= 1e-13 * np.linalg.norm(y)
+    assert np.max(np.abs(LinearModel(fact, y, 0.1).transformed.r - np.fft.rfft(y, norm="ortho"))) <= 1e-13 * np.linalg.norm(y)
 
 
 def test_half_spectrum_needs_real_taps():
@@ -1095,12 +1071,22 @@ def test_half_spectrum_needs_real_taps():
 
 
 @pytest.mark.parametrize("n", [5, 2**16, 5 * 2**16 + 7])
-def test_blockwise_slices_and_results_do_not_depend_on_the_worker_count(monkeypatch, n):
+def test_aligned_blockwise_slices_do_not_depend_on_the_worker_count(monkeypatch, n):
     # partial sums added in slice order give the same bits on any machine
     got = {}
     for count in (1, 2, 3, 7):
         monkeypatch.setattr(_threads, "_workers", lambda: count)
-        got[count] = _threads._blockwise(lambda b: (b.start, b.stop), n)
+        got[count] = _threads._blockwise(lambda b: (b.start, b.stop), n, aligned=True)
     step = _threads._FOUR_STEP_MIN
     want = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     assert all(v == want for v in got.values()), got
+
+
+def test_unaligned_split_keeps_its_parts_even(monkeypatch):
+    # the FFT passes and the elementwise chains split as evenly as they can:
+    # the four-step row pass at 2^16 (256 rows walked 256 at a time) and a
+    # chain one entry past the threshold both run on two workers in halves
+    monkeypatch.setattr(_threads, "_workers", lambda: 2)
+    assert _threads._split(lambda r: (r.start, r.stop), 256, 256) == [(0, 128), (128, 256)]
+    n = _threads._FOUR_STEP_MIN + 1
+    assert _threads._blockwise(lambda b: (b.start, b.stop), n) == [(0, n // 2), (n // 2, n)]

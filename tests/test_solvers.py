@@ -879,7 +879,7 @@ def _spied_run(model, prior, **kw):
 @example(n=2, bg=True, seed=1, sigma2=1e-2)
 @example(n=7, bg=False, seed=2, sigma2=1e-4)
 @example(n=7, bg=True, seed=3, sigma2=1e-2)
-@example(n=2**17, bg=True, seed=4, sigma2=1e-3)  # pairs bins in the four-step FFT's order
+@example(n=2**17, bg=True, seed=4, sigma2=1e-3)  # blocked chains and sums on the workers
 def test_real_circulant_runs_on_the_half_spectrum_like_the_complex_route(n, bg, seed, sigma2):
     prior = BernoulliGaussianPrior(rho=0.3) if bg else GaussianPrior(x0=0.2, tau0=1.5)
     model, taps = _circulant_model(n, seed, prior, sigma2=sigma2)
