@@ -46,11 +46,17 @@ class DenoiserOutput:
 
 
 def _check_tau_q(tau_q, n):
-    # a scalar stays 0-d; NaN fails the comparison, so one test rejects it too
+    # a scalar comes back as a Python float, whose arithmetic costs no numpy
+    # call; NaN fails the comparison, so one test rejects it too
     tau_q = np.asarray(tau_q, dtype=float)
-    if tau_q.ndim != 0 and tau_q.shape != (n,):
+    if tau_q.ndim == 0:
+        tau_q = float(tau_q)
+        positive = tau_q > 0
+    elif tau_q.shape != (n,):
         raise ValueError(f"tau_q must be scalar or length-{n}, got shape {tau_q.shape}")
-    if not np.all(tau_q > 0):
+    else:
+        positive = (tau_q > 0).all()
+    if not positive:
         raise ValueError("tau_q entries must be positive (inf allowed)")
     return tau_q
 
@@ -59,13 +65,13 @@ def _conjugate(tau_q, tau0):
     """Gain and shrink factor (posterior over prior variance) of the
     posterior of x ~ N(x0, tau0) given q = x + N(0, tau_q): its mean is
     gain q + shrink x0 (the product taken in the mean's dtype) and its
-    variance tau0 shrink.  Scalar tau_q and tau0 give scalars; tau_q = inf
-    gives back the prior (gain 0, shrink 1) per element."""
-    finite = np.isfinite(tau_q)
-    tq = np.where(finite, tau_q, 1.0)
-    gain = np.where(finite, tau0 / (tau0 + tq), 0.0)
-    shrink = np.where(finite, tq / (tau0 + tq), 1.0)
-    return gain, shrink
+    variance tau0 shrink.  Floats give scalars, arrays per-element values.
+    tau_q = inf gives back the prior: tau0 / inf is gain 0, and the shrink
+    inf / inf = nan is taken as 1 by fmin, which leaves every finite shrink
+    (at most 1) alone."""
+    # a worker thread does not inherit the caller's error state
+    with np.errstate(invalid="ignore"):
+        return tau0 / (tau0 + tau_q), np.fmin(tau_q / (tau0 + tau_q), 1.0)
 
 
 @dataclass(eq=False)
@@ -117,10 +123,11 @@ def gaussian_denoise(q, tau_q, prior: GaussianPrior) -> DenoiserOutput:
     tau_q = _check_tau_q(tau_q, n)
     x0, tau0 = prior.x0, prior.tau0
     out = DenoiserOutput(mean=np.empty(n, np.result_type(q, x0, np.float64)), var=np.empty(n))
-    scalar = _conjugate(tau_q, tau0) if tau_q.ndim == tau0.ndim == 0 else None
+    scalar = _conjugate(tau_q, float(tau0)) if isinstance(tau_q, float) and tau0.ndim == 0 else None
 
     def block(b):
-        tau_q_b, x0_b, tau0_b = (a[b] if a.ndim else a for a in (tau_q, x0, tau0))
+        x0_b, tau0_b = (a[b] if a.ndim else a for a in (x0, tau0))
+        tau_q_b = tau_q if isinstance(tau_q, float) else tau_q[b]
         gain, shrink = scalar if scalar is not None else _conjugate(tau_q_b, tau0_b)
         mean = out.mean[b]
         np.multiply(gain, q[b], out=mean, dtype=mean.dtype)
@@ -208,7 +215,7 @@ def bg_denoise(q, tau_q, prior: BernoulliGaussianPrior) -> DenoiserOutput:
         return gain, shrink, v_act, k / v_act, np.log1p(-rho) - np.log(rho) - k * (np.log(shrink) - abs(mu) ** 2 / v)
 
     out = DenoiserOutput(mean=np.empty(n, np.result_type(q, mu, np.float64)), var=np.empty(n))
-    scalar = slab(tau_q) if tau_q.ndim == 0 else None
+    scalar = slab(tau_q) if isinstance(tau_q, float) else None
 
     def block(b):
         gain, shrink, v_act, scale, offset = scalar if scalar is not None else slab(tau_q[b])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .denoisers import GaussianPrior
 from ._threads import _blockwise
-from .model import DftFactorization, Factorization, LinearModel, TransformedModel, _matmul, _matmul_h
+from .model import DftFactorization, LinearModel, TransformedModel, _matmul, _matmul_h
 
 __all__ = [
     "ALGORITHMS",
@@ -146,7 +146,7 @@ def scalar_amp_step(state: SolverState, model: LinearModel, prior, *, residual=N
 
 
 def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual=None) -> tuple[SolverState, float]:
-    """One transform-domain iteration.
+    """One transform-domain iteration on tmodel, a TransformedModel on a Factorization.
 
     The estimate-side variance is a scalar, but the measurement-side
     variances stay per element: tau_p = tau_x * lam_p, where lam_p holds the
@@ -168,9 +168,6 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     product Lam V x before p overwrites it.
     """
     fact = tmodel.fact
-    # the bin weights live on the Factorization; a bare transform with only
-    # the two applies (a full-SVD oracle, say) counts every bin once
-    weights = fact if isinstance(fact, Factorization) else None
     tau_x = state.tau_x_mean()
     p = fact.apply_av(state.x)
     dtype = np.result_type(p, state.s, tmodel.r)
@@ -180,7 +177,7 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     def chain(b):
         p_b, tau_s_b, s_b = p[b], tau_s[b], s[b]
         # r - Lam V x in s's block, before s is built there
-        part = None if residual is None else _sumsq(np.subtract(tmodel.r[b], p_b, out=s_b), weights, b.start)
+        part = None if residual is None else _sumsq(np.subtract(tmodel.r[b], p_b, out=s_b), fact, b.start)
         tau_p_b = np.multiply(tau_x, tmodel.lam_p[b])
         np.multiply(tau_p_b, state.s[b], out=s_b, dtype=dtype)
         p_b -= s_b
@@ -195,9 +192,7 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
         residual[0] = math.sqrt(sum(parts))
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
-    denom = float(np.einsum("i,i", tmodel.lam_p, tau_s))
-    if weights is not None:
-        denom = weights.bin_sum(denom, lambda i: tmodel.lam_p[i] * tau_s[i])
+    denom = fact.bin_sum(float(np.einsum("i,i", tmodel.lam_p, tau_s)), lambda i: tmodel.lam_p[i] * tau_s[i])
     del p, tau_s  # before apply_avh allocates q
     tau_q = tmodel.N / denom if denom > 0 else np.inf
     q = _guarded_correction(state.x, tau_q, fact.apply_avh(s))

@@ -1,21 +1,22 @@
 """Convergence certification for the transform-domain solver.
 
-Under a Gaussian prior the stepsize recursion decouples from the estimates,
-so its fixed point (tau_x, tau_q) can be solved for ahead of time.  Freezing
-the stepsizes there makes one solver iteration an affine map of the stacked
-state (s, x); its iteration matrix has closed-form eigenvalues driven by two
-ingredients:
+Under a Gaussian prior with one variance tau0 the stepsize recursion
+decouples from the estimates, so its fixed point (tau_x, tau_q) can be
+solved for ahead of time.  With the stepsizes there, ut_amp_step is an
+affine map of the stacked state (s, x), whose Jacobian has closed-form
+eigenvalues driven by two ingredients:
 
   beta_i = tau_x |lam_i|^2 / (tau_x |lam_i|^2 + sigma2)   per singular value,
-  alpha  = mean of the beta_i padded with zeros to length N.
+  alpha  = mean of the beta_i padded with zeros to length N (the gain).
 
 Each singular direction contributes the two roots of
 eta^2 - alpha * eta + alpha * beta_i; leftover measurement directions
 contribute zeros and leftover estimate directions contribute alpha.  The
 certificate reports the spectral radius and whether it is below one, which
-holds for every matrix since alpha * beta_i < 1; the API still checks rather
-than asserts so the numeric cross-check stays meaningful.  A radius taken at
-a stepsize fixed point that did not converge certifies nothing.
+holds for every matrix since alpha * beta_i < 1.  The numeric cross-check
+densifies the Jacobian one ut_amp_step call per unit vector, so it checks
+the closed form against the step run() executes.  A radius taken at a
+stepsize fixed point that did not converge certifies nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .denoisers import GaussianPrior
 from .model import Factorization, LinearModel, _noise_variance, svd_factorize
+from .solvers import SolverState, ut_amp_step
 
 __all__ = [
     "UnsupportedPriorError",
@@ -204,31 +206,23 @@ def closed_form_eigenvalues(coeff: SpectralCoefficients) -> np.ndarray:
     return np.concatenate([pairs, extras])
 
 
-def numeric_iteration_matrix(
-    fact: Factorization, coeff: SpectralCoefficients
-) -> np.ndarray:
-    """Densify the frozen-stepsize iteration matrix on the stacked (s, x)
-    state and return it; eigendecomposing it is the independent check on
-    the closed form.
+def numeric_iteration_matrix(fact: Factorization, coeff: SpectralCoefficients, prior: GaussianPrior) -> np.ndarray:
+    """The Jacobian of ut_amp_step at the stepsize fixed point, dense on the
+    stacked (s, x) state; its eigenvalues check the closed form against the
+    step run() executes.  With r = 0 and the prior's mean set to 0, the
+    Gaussian step from tau_x = coeff.tau_x is linear in (s, x) and leaves
+    tau_x at its fixed point, so column j is one step from the j-th unit
+    vector.  The gain tau0 / (tau0 + tau_q) reads the prior's tau0, also a
+    per-element one, which the closed form does not cover."""
+    m, n = fact.bins, fact.N
+    tmodel = LinearModel(fact, np.zeros(fact.M), coeff.sigma2).transformed
+    centered = GaussianPrior(tau0=prior.tau0)
 
-    With D = (tau_x Lam Lam^H + sigma2 I)^{-1} the blocks are
+    def column(e):
+        new, _ = ut_amp_step(SolverState(x=e[m:], tau_x=coeff.tau_x, s=e[:m]), tmodel, centered)
+        return np.concatenate([new.s, new.x])
 
-        [ tau_x D Lam Lam^H              -D Lam V                      ]
-        [ tau_x^2 V^H Lam^H D Lam Lam^H   alpha I - tau_x V^H Lam^H D Lam V ]
-    """
-    m, n = fact.shape
-    k = min(m, n)
-    tau_x, sigma2, alpha = coeff.tau_x, coeff.sigma2, coeff.alpha
-
-    lam_p = np.pad(np.abs(fact.lam) ** 2, (0, m - k))
-    d = 1.0 / (tau_x * lam_p + sigma2)
-    lv = np.pad(fact.lam[:, None] * fact.V[:k], ((0, m - k), (0, 0)))
-
-    c_a = np.diag(tau_x * d * lam_p).astype(lv.dtype)
-    c_b = -d[:, None] * lv
-    c_c = tau_x**2 * (lv.conj().T * (d * lam_p)[None, :])
-    c_d = alpha * np.eye(n, dtype=lv.dtype) - tau_x * (lv.conj().T @ (d[:, None] * lv))
-    return np.block([[c_a, c_b], [c_c, c_d]])
+    return np.column_stack([column(e) for e in np.eye(m + n)])
 
 
 def eigenvalue_discrepancy(a, b) -> float:
@@ -265,9 +259,10 @@ def certify(
     matched eigenvalue discrepancy.
     """
     if not isinstance(prior, GaussianPrior):
-        raise UnsupportedPriorError(
-            f"certification covers Gaussian priors only, got {type(prior).__name__}"
-        )
+        raise UnsupportedPriorError(f"certification covers Gaussian priors only, got {type(prior).__name__}")
+    if prior.tau0.ndim != 0:
+        # the closed form has one denoiser gain; a tau0 per entry gives each its own
+        raise UnsupportedPriorError("certification needs one prior variance, got a per-element tau0")
     if isinstance(target, LinearModel):
         fact = target.fact
         if sigma2 is None:
@@ -292,7 +287,7 @@ def certify(
         case=_case(*fact.shape),
     )
     if check_numeric:
-        dense = numeric_iteration_matrix(fact, coeff)
+        dense = numeric_iteration_matrix(fact, coeff, prior)
         numeric = np.linalg.eigvals(dense)
         cert.numeric_discrepancy = eigenvalue_discrepancy(eigs, numeric)
     return cert

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from utamp import (
     ALGORITHMS,
     EnsembleSpec,
+    Factorization,
     GaussianPrior,
     BernoulliGaussianPrior,
     DftFactorization,
@@ -167,13 +168,14 @@ def test_ut_step_dft_equals_svd_route():
         assert np.isclose(sd.tau_x, ss.tau_x)
 
 
-class _FullSVD:
+class _FullSVD(Factorization):
     """Test-local full-SVD transform: U is M x M and V is N x N, so r = U^H y
-    is the plain unitary transform.  The oracle for the thin factorization."""
+    is the plain unitary transform.  The oracle for the thin factorization:
+    it overrides the two applies with dense products."""
 
     def __init__(self, A):
         self.U, lam, self.V = np.linalg.svd(A, full_matrices=True)
-        self.M, self.N = A.shape
+        super().__init__(lam=lam, shape=A.shape)
         k = min(A.shape)
         self.lam_full = np.zeros(A.shape)
         self.lam_full[:k, :k] = np.diag(lam)

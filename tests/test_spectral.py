@@ -17,8 +17,10 @@ from utamp import (
     eigenvalue_discrepancy,
     generate_matrix,
     numeric_iteration_matrix,
+    run,
     spectral_coefficients,
     svd_factorize,
+    synthesize_instance,
     variance_fixed_point,
 )
 
@@ -258,7 +260,7 @@ def test_numeric_matrix_matches_independent_construction(kind, shape):
     prior = GaussianPrior()
     fp = variance_fixed_point(fact.lam, 0.3, prior, shape)
     c = spectral_coefficients(fp, fact.lam, 0.3, shape)
-    lib = numeric_iteration_matrix(fact, c)
+    lib = numeric_iteration_matrix(fact, c, prior)
     oracle = iteration_matrix_oracle(A, fp.tau_x, c.alpha, 0.3)
     assert np.allclose(lib, oracle, atol=1e-10), f"{kind} {shape}"
 
@@ -271,8 +273,65 @@ def test_closed_form_matches_dense_eigendecomposition_complex():
     fp = variance_fixed_point(fact.lam, 0.05, prior, (12, 12))
     coeff = spectral_coefficients(fp, fact.lam, 0.05, (12, 12))
     closed = closed_form_eigenvalues(coeff)
-    numeric = np.linalg.eigvals(numeric_iteration_matrix(fact, coeff))
+    numeric = np.linalg.eigvals(numeric_iteration_matrix(fact, coeff, prior))
     assert eigenvalue_discrepancy(closed, numeric) < 1e-10
+
+
+def test_certify_needs_one_prior_variance():
+    # the closed form has one denoiser gain; a tau0 per entry gives each its
+    # own, and then the step's Jacobian, which run() follows, contracts more
+    # slowly than the closed form would certify
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 20)) / np.sqrt(30)
+    prior = GaussianPrior(tau0=np.linspace(0.2, 3, 20))
+    with pytest.raises(UnsupportedPriorError, match="one prior variance"):
+        certify(A, prior, sigma2=0.05)
+    fact = svd_factorize(A)
+    fp = variance_fixed_point(fact.lam, 0.05, prior, (30, 20))
+    coeff = spectral_coefficients(fp, fact.lam, 0.05, (30, 20))
+    closed = np.max(np.abs(closed_form_eigenvalues(coeff)))
+    jacobian = np.max(np.abs(np.linalg.eigvals(numeric_iteration_matrix(fact, coeff, prior))))
+    assert closed == pytest.approx(0.836, abs=1e-3)
+    assert jacobian == pytest.approx(0.896, abs=1e-3)
+    # run()'s iterates shrink at the Jacobian's rate (the window averages
+    # out the oscillation of its complex eigenvalues)
+    model = synthesize_instance(A, prior, sigma2=0.05, seed=1)
+    rel = run("utamp", model, prior, max_iters=200, x_tol=1e-13)[1].column("rel_change")
+    rate = (rel[200] / rel[50]) ** (1 / 150)
+    assert abs(rate - jacobian) < 0.01 and rate - closed > 0.05
+
+
+def _unitary(rng, n, complex_valued):
+    z = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_valued else 0)
+    return np.linalg.qr(z)[0]
+
+
+@given(
+    st.sampled_from(["svd", "circulant"]),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.booleans(),
+    st.lists(st.one_of(st.just(None), st.floats(-12.0, 0.0)), min_size=12, max_size=12),
+    st.floats(-10.0, 6.0),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_closed_form_is_the_jacobian_of_the_step(kind, m, n, complex_valued, log_s, log_sigma2, log_tau0, seed):
+    # the linearized theorem: at the stepsize fixed point the eigenvalues of
+    # ut_amp_step's Jacobian are the closed form's, and all lie inside the
+    # unit circle; s is log-uniform down to 1e-12, None an exact zero
+    rng = np.random.default_rng(seed)
+    if kind == "circulant":
+        taps = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_valued else 0)
+        target = circulant_factorize(taps)
+    else:
+        k = min(m, n)
+        s = np.array([0.0 if e is None else 10.0**e for e in log_s[:k]])
+        target = (_unitary(rng, m, complex_valued)[:, :k] * s) @ _unitary(rng, n, complex_valued)[:k]
+    cert = certify(target, GaussianPrior(tau0=10.0**log_tau0), sigma2=10.0**log_sigma2, check_numeric=True)
+    if cert.fixed_point.converged:
+        assert cert.numeric_discrepancy <= 1e-10
+        assert cert.spectral_radius < 1.0
 
 
 # ------------------------------------------------------------- certify
