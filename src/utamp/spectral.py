@@ -7,7 +7,7 @@ affine map of the stacked state (s, x), whose Jacobian has closed-form
 eigenvalues driven by two ingredients:
 
   beta_i = tau_x |lam_i|^2 / (tau_x |lam_i|^2 + sigma2)   per singular value,
-  alpha  = mean of the beta_i padded with zeros to length N (the gain).
+  alpha  = mean of the beta_i padded with zeros to length N (the denoiser's gain).
 
 Each singular direction contributes the two roots of
 eta^2 - alpha * eta + alpha * beta_i; leftover measurement directions
@@ -259,7 +259,9 @@ def certify(
     matched eigenvalue discrepancy.
     """
     if not isinstance(prior, GaussianPrior):
-        raise UnsupportedPriorError(f"certification covers Gaussian priors only, got {type(prior).__name__}")
+        raise UnsupportedPriorError(
+            f"certification covers Gaussian priors only, got {type(prior).__name__}"
+        )
     if prior.tau0.ndim != 0:
         # the closed form has one denoiser gain; a tau0 per entry gives each its own
         raise UnsupportedPriorError("certification needs one prior variance, got a per-element tau0")
