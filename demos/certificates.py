@@ -44,7 +44,7 @@ print()
 # predicted rate vs measured rate
 xstar = lmmse_solve(model, prior)
 tm = model.transformed
-state = initial_state("utamp", model.N, model.M, prior)
+state = initial_state("utamp", model.N, tm.r.size, prior)
 errs = []
 for _ in range(80):
     state, _ = ut_amp_step(state, tm, prior)

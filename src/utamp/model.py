@@ -3,12 +3,13 @@
 A model is the triple (A, y, sigma2) for y = A x + n with n ~ N(0, sigma2 I);
 A is held densely or, matrix-free, as its factorization.
 A factorization A = U Lam V (U, V unitary, Lam diagonal, rectangular when
-M != N) supports the transformed model r = U^H y = Lam V x + w, which is what
-the transform-domain solver iterates on.  One class per unitary transform:
-SvdFactorization stores thin singular factors, a tall A's U_k only as the
-Householder reflectors of a QR factorization and the k x k U_R of an SVD of
-its triangle; DftFactorization applies the DFT of a circulant A by FFTs,
-densifies A from its first column, and builds U or V only when read;
+M != N) supports the transformed model r = U^H y = Lam V x + w, which the
+transform-domain solver iterates on, on the k = min(M, N) rows of Lam that
+are not zero.  One class per unitary transform: SvdFactorization stores
+thin singular factors, a tall A's U_k only as the Householder reflectors
+of a QR factorization and the k x k U_R of an SVD of its triangle;
+DftFactorization applies the DFT of a circulant A by FFTs, densifies A
+from its first column, and builds U or V only when read;
 RealDftFactorization holds a real circulant A on the N//2 + 1 bins of the
 half spectrum, for real x.  Every complex FFT goes through _threads._fft, in
 _fft's order (the real transforms are pocketfft's rfft and irfft), and the
@@ -137,11 +138,13 @@ class LinearModel:
     @cached_property
     def transformed(self) -> TransformedModel:
         """The model after left-multiplying by U^H, computed on first read, so
-        that run and lmmse_transformed share one transform: r = U^H y from
-        fact.transform, with ||r - Lam V x|| = ||y - A x|| for every x."""
-        fact = self.fact
-        lam_p = np.pad(np.abs(fact.lam) ** 2, (0, fact.bins - fact.lam.size))
-        return TransformedModel(fact=fact, r=fact.transform(self.y), sigma2=self.sigma2, lam_p=lam_p)
+        that run and lmmse_transformed share one transform: r is the first k
+        entries of fact.transform(y) and outside the energy of the rest, so
+        ||r - Lam V x||^2 + outside = ||y - A x||^2 for every x."""
+        fact, k = self.fact, self.fact.lam.size
+        u = fact.transform(self.y)
+        rest = u[k:].view(np.float64)
+        return TransformedModel(fact, u[:k], self.sigma2, np.abs(fact.lam) ** 2, float(np.einsum("i,i", rest, rest)))
 
 
 @dataclass(eq=False)
@@ -149,11 +152,11 @@ class Factorization:
     """A = U Lam V with unitary U (M x M) and V (N x N), k = min(M, N).
 
     lam holds the k diagonal entries of Lam.  The applies are written once
-    here; a subclass supplies the unitary parts _v (x -> V_k x), _vh (its
-    adjoint) and transform (y -> U^H y, of length bins), the dense U and V,
-    reconstruct and matvec.  _v and transform return a fresh array and leave
-    their argument alone (apply_av scales the result in place); _vh may
-    overwrite its argument, which apply_avh allocates for it.
+    here, on those k entries; a subclass supplies _v (x -> V_k x), _vh (its
+    adjoint), transform (y -> U^H y) and reconstruct (A, dense).  _v and
+    transform return a fresh array and leave their argument alone (apply_av
+    scales the result in place); _vh may overwrite its argument, which
+    apply_avh allocates for it.
     """
 
     lam: np.ndarray
@@ -167,22 +170,17 @@ class Factorization:
     def N(self) -> int:
         return self.shape[1]
 
-    @property
-    def bins(self) -> int:
-        """The length of U^H y as this class holds it (M here)."""
-        return self.M
-
     def bin_sum(self, total: float, term, lo: int = 0, hi: int | None = None) -> float:
-        """A sum over the entries of U^H y that bins lo..hi-1 (all when hi is
-        None) stand for, from total, the plain sum over those bins, and
+        """A sum over the entries of U_k^H y that bins lo..hi-1 (all k when hi
+        is None) stand for, from total, the plain sum over those bins, and
         term(i), bin i's summand.  Every bin stands for one entry here."""
         return total
 
     def apply_av(self, x: np.ndarray) -> np.ndarray:
-        """Return Lam V x (length bins, zero past k) without forming A."""
+        """Return Lam V x (length k) without forming A."""
         z = self._v(x)
         _blockwise(lambda b: np.multiply(self.lam[b], (zb := z[b]), out=zb), z.size)
-        return np.pad(z, (0, self.bins - z.size)) if self.bins > z.size else z
+        return z
 
     def apply_avh(self, s: np.ndarray) -> np.ndarray:
         """Return V^H Lam^H s (length N), the adjoint of apply_av."""
@@ -318,7 +316,7 @@ class RealDftFactorization(Factorization):
     """A circulant A with a real first column, applied to real x only.
 
     The DFT of a real vector is Hermitian, so its bins 0..N//2 hold all of
-    it: bins = N//2 + 1.  V x is those bins of the normalized DFT, in DFT
+    it: lam.size = N//2 + 1.  V x is those bins of the normalized DFT, in DFT
     order (np.fft.rfft), and lam holds A's eigenvalues on them; _vh is the
     real inverse transform of the Hermitian spectrum (np.fft.irfft), so x
     stays real.  Both run on the calling thread at every N.  A sum over the
@@ -331,16 +329,15 @@ class RealDftFactorization(Factorization):
     reads lam as A's spectrum (certify) takes the complex DftFactorization."""
 
     column: np.ndarray = field(repr=False)
-    bins = property(lambda self: self.lam.size)
 
     @property
     def unpaired(self) -> tuple[int, ...]:
         """The bins that are their own mirror and carry weight 1: bin 0, and
         bin N/2 (the last) for even N."""
-        return (0, self.bins - 1) if self.N % 2 == 0 else (0,)
+        return (0, self.lam.size - 1) if self.N % 2 == 0 else (0,)
 
     def bin_sum(self, total: float, term, lo: int = 0, hi: int | None = None) -> float:
-        hi = self.bins if hi is None else hi
+        hi = self.lam.size if hi is None else hi
         return 2.0 * total - sum(term(i) for i in self.unpaired if lo <= i < hi)
 
     def _v(self, x: np.ndarray) -> np.ndarray:
@@ -418,15 +415,16 @@ def circulant_matrix(first_column) -> np.ndarray:
 class TransformedModel:
     """The problem after left-multiplying by U^H: r = Lam V x + w.
 
-    lam_p holds the row sums of |Lam|^2, i.e. the squared singular values
-    padded with zeros to length M.  The transformed
-    noise w has the same covariance sigma2 I as the original noise.
+    r holds the first k entries of U^H y and lam_p the k values |lam|^2;
+    the rest of U^H y meets zero rows of Lam, and outside holds its energy
+    (0.0 when k = M).  The transformed noise w has covariance sigma2 I.
     """
 
     fact: Factorization
     r: np.ndarray
     sigma2: float
     lam_p: np.ndarray
+    outside: float = 0.0
 
     @property
     def N(self) -> int:

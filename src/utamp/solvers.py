@@ -70,13 +70,12 @@ def _mean(v) -> float:
 def _guarded_correction(x, tau_q, corr):
     # x + tau_q * corr with tau_q = inf treated as "no update" so that
     # inf * 0 never produces a nan; a scalar tau_q overwrites corr with it
-    tau_q_arr = np.asarray(tau_q, dtype=float)
-    finite = np.isfinite(tau_q_arr)
-    if tau_q_arr.ndim == 0:
-        scale = float(tau_q_arr) if finite else 0.0
-        _blockwise(lambda b: np.add(x[b], np.multiply(scale, (c := corr[b]), out=c), out=c), corr.size)
-        return corr
-    return x + np.where(finite, tau_q_arr, 0.0) * np.where(finite, corr, 0.0 * corr)
+    if isinstance(tau_q, np.ndarray):
+        finite = np.isfinite(tau_q)
+        return x + np.where(finite, tau_q, 0.0) * np.where(finite, corr, 0.0 * corr)
+    scale = float(tau_q) if math.isfinite(tau_q) else 0.0
+    _blockwise(lambda b: np.add(x[b], np.multiply(scale, (c := corr[b]), out=c), out=c), corr.size)
+    return corr
 
 
 def _sumsq(d: np.ndarray, fact=None, start=0) -> float:
@@ -91,10 +90,10 @@ def _sumsq(d: np.ndarray, fact=None, start=0) -> float:
     return fact.bin_sum(total, lambda i: abs(d[i - start]) ** 2, start, start + d.size)
 
 
-def _norm(d: np.ndarray, fact=None) -> float:
-    """sqrt(_sumsq(d, fact)) in one blocked pass, the blocks' sums added in
-    block order, so the result does not depend on the number of CPUs."""
-    return math.sqrt(sum(_blockwise(lambda b: _sumsq(d[b], fact, b.start), d.size, aligned=True)))
+def _norm(d: np.ndarray, fact=None, outside=0.0) -> float:
+    """sqrt(_sumsq(d, fact) + outside) in one blocked pass, the blocks' sums
+    added in block order, so the result does not depend on the number of CPUs."""
+    return math.sqrt(sum(_blockwise(lambda b: _sumsq(d[b], fact, b.start), d.size, aligned=True), outside))
 
 
 def vector_amp_step(
@@ -150,12 +149,12 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
 
     The estimate-side variance is a scalar, but the measurement-side
     variances stay per element: tau_p = tau_x * lam_p, where lam_p holds the
-    squared singular values padded to the length of r.  The
+    k = min(M, N) squared singular values, as long as r and s.  The
     pseudo-observation variance is N / <lam_p, tau_s>, the sum taken with
     the factorization's bin weights (fact.bin_sum; 1, 2, ..., 2, 1 on the
     half spectrum of RealDftFactorization).
 
-    Outside the denoiser the step holds at most three arrays of r's length
+    Outside the denoiser the step holds at most three arrays of length k
     of its own: p (built in the output of apply_av), tau_s and s until the
     reduction, then s and q (built in the output of apply_avh).  tau_p lives
     one block at a time.  The elementwise chains here, in the applies and in
@@ -163,9 +162,9 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     the reductions stay whole, or add the blocks' sums in block order, so the
     iterate does not depend on the number of CPUs.
 
-    residual, when given, is a length-1 float array set to ||r - Lam V x||
-    (= ||y - A x||) of state.x, reduced block by block in the chain from the
-    product Lam V x before p overwrites it.
+    residual, when given, is a length-1 float array set to ||y - A x|| of
+    state.x, from ||r - Lam V x||^2, reduced block by block in the chain from
+    the product Lam V x before p overwrites it, plus tmodel.outside.
     """
     fact = tmodel.fact
     tau_x = state.tau_x_mean()
@@ -189,7 +188,7 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
 
     parts = _blockwise(chain, p.size, aligned=residual is not None)
     if residual is not None:
-        residual[0] = math.sqrt(sum(parts))
+        residual[0] = math.sqrt(sum(parts, tmodel.outside))
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
     denom = fact.bin_sum(float(np.einsum("i,i", tmodel.lam_p, tau_s)), lambda i: tmodel.lam_p[i] * tau_s[i])
@@ -299,20 +298,20 @@ def run(
     variable goes non-finite or the estimate's norm passes _DIVERGENCE_NORM
     (diverged).  max_iters = 0 is valid and returns the initial state
     untouched.  The initial state and every iterate are recorded alike;
-    each record's residual is ||y - A x||, which utamp reads as
-    ||r - Lam V x|| on its factorization.  The step that starts from x
-    reports that residual from the product A x it computes anyway, so its
-    record is completed one step late, and an iteration costs two applies
-    (utamp) or two products with A; the last state's residual costs one
-    more product.  rel_change, mse, the norm and the finiteness test take
-    one blocked pass each, through buffers allocated once per call.
+    each record's residual is ||y - A x||, which utamp reads off its
+    transformed model.  The step that starts from x reports that residual
+    from the product A x it computes anyway, so its record is completed one
+    step late, and an iteration costs two applies (utamp) or two products
+    with A; the last state's residual costs one more product.  rel_change,
+    mse, the norm and the finiteness test take one blocked pass each,
+    through buffers allocated once per call.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     _check_max_iters(max_iters)
     _check_x_tol(x_tol)
 
-    weights = None  # the factorization whose bins target lives on, if any
+    weights, outside = None, 0.0  # target's bin weights, if any, and the part of ||y - A x||^2 it misses
     if algorithm == "utamp":
         fact = model.fact
         real = (
@@ -322,7 +321,7 @@ def run(
             and not getattr(prior, "complex_valued", True)
         )
         problem = LinearModel(fact.half_spectrum(), model.y, model.sigma2).transformed if real else model.transformed
-        target, product, weights = problem.r, problem.fact.apply_av, problem.fact
+        target, product, weights, outside = problem.r, problem.fact.apply_av, problem.fact, problem.outside
         dtype = float if real else np.result_type(problem.r.dtype, float)
         step = ut_amp_step
     else:
@@ -365,7 +364,7 @@ def run(
             tau_q = _mean(tau_q)
             continue
         # the one product no step shares
-        trace.last()["residual"] = _norm(target - product(x), weights)
+        trace.last()["residual"] = _norm(target - product(x), weights, outside)
         return state, trace
 
 
@@ -395,8 +394,8 @@ def lmmse_transformed(model: LinearModel, prior: GaussianPrior) -> np.ndarray:
     With A = U Lam V the posterior mean x0 + tau0 A^H (tau0 A A^H +
     sigma2 I)^{-1} (y - A x0) becomes a diagonal solve,
     x0 + tau0 V^H Lam^H (r - Lam V x0) / (tau0 lam_p + sigma2): two applies
-    instead of a dense O(N^3) solve.  Rows of r past the rank meet
-    lam_p = 0 and are never read.  Heterogeneous priors need lmmse_solve.
+    instead of a dense O(N^3) solve, on the k rows of r.  Heterogeneous
+    priors need lmmse_solve.
     """
     if not isinstance(prior, GaussianPrior):
         raise TypeError("lmmse_transformed needs a Gaussian prior")

@@ -15,7 +15,8 @@ contribute zeros and leftover estimate directions contribute alpha.  The
 certificate reports the spectral radius and whether it is below one, which
 holds for every matrix since alpha * beta_i < 1.  The numeric cross-check
 densifies the Jacobian one ut_amp_step call per unit vector, so it checks
-the closed form against the step run() executes.  A radius taken at a
+the closed form against the step run() executes, plus the M - k zeros of
+the measurement directions it does not hold.  A radius taken at a
 stepsize fixed point that did not converge certifies nothing.
 """
 
@@ -207,22 +208,22 @@ def closed_form_eigenvalues(coeff: SpectralCoefficients) -> np.ndarray:
 
 
 def numeric_iteration_matrix(fact: Factorization, coeff: SpectralCoefficients, prior: GaussianPrior) -> np.ndarray:
-    """The Jacobian of ut_amp_step at the stepsize fixed point, dense on the
-    stacked (s, x) state; its eigenvalues check the closed form against the
-    step run() executes.  With r = 0 and the prior's mean set to 0, the
-    Gaussian step from tau_x = coeff.tau_x is linear in (s, x) and leaves
-    tau_x at its fixed point, so column j is one step from the j-th unit
-    vector.  The gain tau0 / (tau0 + tau_q) reads the prior's tau0, also a
-    per-element one, which the closed form does not cover."""
-    m, n = fact.bins, fact.N
+    """The Jacobian of ut_amp_step at the stepsize fixed point, dense and
+    (k + N)-square on the stacked (s, x) state, k = min(M, N).  With r = 0
+    and the prior's mean set to 0, the Gaussian step from tau_x =
+    coeff.tau_x is linear in (s, x) and leaves tau_x at its fixed point, so
+    column j is one step from the j-th unit vector.  The gain tau0 / (tau0 +
+    tau_q) reads the prior's tau0, also a per-element one, which the closed
+    form does not cover."""
+    k, n = fact.lam.size, fact.N
     tmodel = LinearModel(fact, np.zeros(fact.M), coeff.sigma2).transformed
     centered = GaussianPrior(tau0=prior.tau0)
 
     def column(e):
-        new, _ = ut_amp_step(SolverState(x=e[m:], tau_x=coeff.tau_x, s=e[:m]), tmodel, centered)
+        new, _ = ut_amp_step(SolverState(x=e[k:], tau_x=coeff.tau_x, s=e[:k]), tmodel, centered)
         return np.concatenate([new.s, new.x])
 
-    return np.column_stack([column(e) for e in np.eye(m + n)])
+    return np.column_stack([column(e) for e in np.eye(k + n)])
 
 
 def eigenvalue_discrepancy(a, b) -> float:
@@ -290,6 +291,7 @@ def certify(
     )
     if check_numeric:
         dense = numeric_iteration_matrix(fact, coeff, prior)
-        numeric = np.linalg.eigvals(dense)
+        # the M - k measurement directions that the step does not hold are exact zeros
+        numeric = np.concatenate([np.linalg.eigvals(dense), np.zeros(fact.M - fact.lam.size)])
         cert.numeric_discrepancy = eigenvalue_discrepancy(eigs, numeric)
     return cert

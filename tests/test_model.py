@@ -155,15 +155,15 @@ def test_svd_factorization_identities(shape, complex_entries):
     x = rng.standard_normal(n)
     y = rng.standard_normal(m)
     assert np.allclose(f.matvec(x), f.reconstruct() @ x)
-    # Lam V x lives in the transform domain: rows past k are zero, and
-    # lifting the first k back with U_k gives A x
+    # Lam V x lives in the transform domain on the k rows that Lam reaches:
+    # U^H A x is zero past k, and lifting Lam V x back with U_k gives A x
     lvx = f.apply_av(x)
-    assert lvx.shape == (m,)
-    assert np.all(lvx[k:] == 0.0)
-    assert np.allclose(f.U @ lvx[:k], A @ x)
-    assert np.allclose(f.apply_uh(A @ x), lvx[:k])
+    assert lvx.shape == (k,)
+    assert np.allclose(f.transform(A @ x)[k:], 0.0)
+    assert np.allclose(f.U @ lvx, A @ x)
+    assert np.allclose(f.apply_uh(A @ x), lvx)
     # adjoint identity <s, Lam V x> = <V^H Lam^H s, x>, and both against A
-    s = rng.standard_normal(m)
+    s = rng.standard_normal(k)
     lhs = np.vdot(s, lvx)
     rhs = np.vdot(f.apply_avh(s), x)
     assert np.isclose(lhs, rhs), f"adjoint mismatch {lhs} vs {rhs}"
@@ -225,14 +225,14 @@ def test_svd_factorize_matches_gesdd_on_every_route(problem, bad):
     r = f.transform(y)
     assert r.shape == (m,) and np.all(r[k + 1:] == 0.0)
     assert abs(np.linalg.norm(r) - np.linalg.norm(y)) <= 1e-13 * np.linalg.norm(y)
-    gap = abs(np.linalg.norm(r - f.apply_av(x)) - np.linalg.norm(y - A @ x))
+    gap = abs(np.hypot(np.linalg.norm(r[:k] - f.apply_av(x)), np.linalg.norm(r[k:])) - np.linalg.norm(y - A @ x))
     assert gap <= 1e-13 * (np.linalg.norm(y) + scale * np.linalg.norm(x))
 
     # UT-AMP and the transform-coordinate oracle on the parent's dense U_k
     prior = GaussianPrior()
     gesdd = SvdFactorization(lam=s, shape=A.shape, _UR=u, _V=vh)
     tms = [LinearModel(fact, y, 1e-3).transformed for fact in (f, gesdd)]
-    states = [initial_state("utamp", n, m, prior, dtype=tm.r.dtype) for tm in tms]
+    states = [initial_state("utamp", n, k, prior, dtype=tm.r.dtype) for tm in tms]
     for _ in range(50):
         states = [ut_amp_step(state, tm, prior)[0] for state, tm in zip(states, tms)]
         got, want = states[0].x, states[1].x
@@ -373,21 +373,54 @@ def test_unitary_transform_padding(shape):
     f = model.fact
     assert t.fact is f
     k = min(shape)
-    assert t.lam_p.shape == (shape[0],)
-    assert np.allclose(t.lam_p[:k], f.lam**2)
-    assert np.allclose(t.lam_p[k:], 0.0)
-    # r is U^H y for U completed by the normalized out-of-range part of y
-    assert t.r.shape == (shape[0],)
-    assert np.allclose(t.r[:k], f.U.conj().T @ model.y)
-    assert np.all(t.r[k + 1:] == 0.0)
-    assert np.isclose(np.linalg.norm(t.r), np.linalg.norm(model.y))
+    assert t.lam_p.shape == (k,)
+    assert np.allclose(t.lam_p, f.lam**2)
+    # U^H y is U_k^H y, then the norm of the out-of-range part of y, then
+    # zeros; r keeps the first k and outside the energy of the rest
+    u = f.transform(model.y)
+    assert u.shape == (shape[0],) and np.all(u[k + 1:] == 0.0)
+    assert t.r.shape == (k,) and np.array_equal(t.r, u[:k])
+    assert np.allclose(t.r, f.U.conj().T @ model.y)
+    assert np.isclose(np.linalg.norm(t.r) ** 2 + t.outside, np.linalg.norm(model.y) ** 2)
     for _ in range(3):
         x = rng.standard_normal(shape[1])
-        assert np.isclose(np.linalg.norm(t.r - f.apply_av(x)), np.linalg.norm(model.y - A @ x))
-    # row sums of |Lam|^2 in matrix form
+        assert np.isclose(np.linalg.norm(t.r - f.apply_av(x)) ** 2 + t.outside, np.linalg.norm(model.y - A @ x) ** 2)
+    # row sums of |Lam|^2 in matrix form: lam_p is the first k, the rest are zero
     lam_full = np.zeros(shape)
     lam_full[:k, :k] = np.diag(f.lam)
-    assert np.allclose(t.lam_p, np.sum(lam_full**2, axis=1))
+    rows = np.sum(lam_full**2, axis=1)
+    assert np.allclose(t.lam_p, rows[:k]) and np.all(rows[k:] == 0.0)
+
+
+# the QR route (M >= 2N) real and complex, and gesdd's own route; M x 8
+# bytes is what the zero-padded length-M Lam V x alone took
+@pytest.mark.parametrize("shape,complex_entries", [((400, 20), False), ((400, 20), True), ((300, 200), False)])
+def test_tall_svd_iterates_on_the_k_rows_that_lam_reaches(shape, complex_entries):
+    rng = np.random.default_rng(31)
+    (m, n), k = shape, min(shape)
+    A, y = rng.standard_normal(shape), rng.standard_normal(m)
+    if complex_entries:
+        A, y = A + 1j * rng.standard_normal(shape), y + 1j * rng.standard_normal(m)
+    fact = svd_factorize(A)
+    x = rng.standard_normal(n)
+    fact.apply_av(x)
+    tracemalloc.start()
+    try:
+        lvx = fact.apply_av(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lvx.shape == (k,) and peak < m * 8
+
+    model = LinearModel(fact, y, 0.1)
+    t = model.transformed
+    assert t.r.shape == t.lam_p.shape == (k,)
+    rest = y - fact.U @ (fact.U.conj().T @ y)
+    want = np.vdot(rest, rest).real
+    assert abs(t.outside - want) <= 1e-12 * want
+    state, trace = run("utamp", model, GaussianPrior(complex_valued=complex_entries), max_iters=3)
+    assert state.s.shape == (k,)
+    assert np.isclose(trace.last()["residual"], np.linalg.norm(y - A @ state.x), rtol=1e-12)
 
 
 def test_scaled_gram_diagonal_matches_dense():
@@ -1036,16 +1069,16 @@ def test_half_spectrum_applies_are_adjoint_under_the_weights(n):
     full = circulant_factorize(rng.standard_normal(n))
     fact = full.half_spectrum()
     assert isinstance(fact, RealDftFactorization) and fact.column is full.column
-    assert fact.bins == fact.lam.size == n // 2 + 1 and fact.shape == (n, n)
+    assert fact.lam.size == n // 2 + 1 and fact.shape == (n, n)
     # bins 1 .. (n-1)//2 stand for two entries; bin n/2 of an even n for one
     assert fact.unpaired == ((0, n // 2) if n % 2 == 0 else (0,))
-    w = np.full(fact.bins, 2.0)
+    w = np.full(fact.lam.size, 2.0)
     w[list(fact.unpaired)] = 1.0
     assert w.sum() == n
-    v = rng.standard_normal(fact.bins)
+    v = rng.standard_normal(fact.lam.size)
     assert np.isclose(fact.bin_sum(v.sum(), lambda i: v[i]), w @ v, rtol=1e-12)
     # a block that starts at bin 1 corrects only the unpaired bins it holds
-    assert fact.bin_sum(v[1:].sum(), lambda i: v[i], 1, fact.bins) == 2.0 * v[1:].sum() - (v[-1] if n % 2 == 0 and n > 1 else 0.0)
+    assert fact.bin_sum(v[1:].sum(), lambda i: v[i], 1, fact.lam.size) == 2.0 * v[1:].sum() - (v[-1] if n % 2 == 0 and n > 1 else 0.0)
     want = np.fft.rfft(full.column)
     assert np.max(np.abs(fact.lam - want)) <= 1e-13 * np.max(np.abs(want))
 

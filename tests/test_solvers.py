@@ -114,15 +114,15 @@ def test_ut_step_matches_manual_computation():
         model = LinearModel(A, rng.standard_normal(m), 0.4)
         tm = model.transformed
         fact = model.fact
-        state = initial_state("utamp", n, m, prior)
+        k = min(m, n)
+        state = initial_state("utamp", n, k, prior)
         state.x = rng.standard_normal(n)
-        state.s = rng.standard_normal(m)
+        state.s = rng.standard_normal(k)
 
         new, got_tau_q = ut_amp_step(state, tm, prior)
 
         # full unitary factors: the library's thin ones completed by the
         # trailing singular vectors of a test-local full SVD
-        k = min(m, n)
         u_full, _, vh_full = np.linalg.svd(A, full_matrices=True)
         U = np.hstack([fact.U, u_full[:, k:]])
         V = np.vstack([fact.V, vh_full[k:]])
@@ -134,16 +134,18 @@ def test_ut_step_matches_manual_computation():
 
         lam_p = np.sum(lam_full**2, axis=1)
         tau_p = 2.0 * lam_p  # tau_x = mean prior variance = 2.0
-        p = lam_full @ (V @ state.x) - tau_p * state.s
+        # the dual variable is zero past k: those rows of Lam are zero
+        p = lam_full @ (V @ state.x) - tau_p * np.pad(state.s, (0, m - k))
         tau_s = 1.0 / (tau_p + 0.4)
         s = tau_s * (U.T @ model.y - p)
         tau_q = n / np.dot(lam_p, tau_s)
         q = state.x + tau_q * (V.conj().T @ (lam_full.T @ s))
         var = 2.0 * tau_q / (2.0 + tau_q)
 
-        # s past row k is the out-of-range residual; only its norm is basis-free
-        assert np.allclose(new.s[:k], s[:k])
-        assert np.isclose(np.linalg.norm(new.s[k:]), np.linalg.norm(s[k:]))
+        # s past row k is the out-of-range residual, which the step does not
+        # carry; only its norm is basis-free, and outside holds its square
+        assert new.s.shape == (k,) and np.allclose(new.s, s[:k])
+        assert np.isclose(np.linalg.norm(s[k:]) ** 2, tm.outside / 0.4**2)
         assert np.isclose(got_tau_q, tau_q)
         assert np.allclose(new.x, 2.0 / (2.0 + tau_q) * q)
         assert np.isclose(new.tau_x, var)
@@ -415,15 +417,38 @@ def test_run_statuses():
 
 
 def test_run_reads_a_non_finite_dual_variable_as_divergence():
-    # with sigma2 the smallest normal float, tau_s = 1 / sigma2 past the rank
-    # times a residual above 4 overflows s there; x moves on finite rows, and
-    # the run used to end at max_iters with a NaN s
+    # a zero column gives an exactly zero singular value, a kept row of r
+    # where tau_p = 0; with sigma2 the smallest normal float, tau_s = 1 /
+    # sigma2 there times an r of 10 overflows s on that row.  The run must
+    # stop there, not go on to max_iters; the row's 0 * inf reaches x
+    # through V^H in the same step, so x cannot stay finite
     rng = np.random.default_rng(0)
-    model = LinearModel(rng.standard_normal((6, 4)), 10 * rng.standard_normal(6), np.finfo(float).tiny)
+    A = rng.standard_normal((6, 4))
+    A[:, -1] = 0.0
+    fact = svd_factorize(A)
+    assert fact.lam[-1] == 0.0
+    y = A @ rng.standard_normal(4) + 10.0 * fact.U[:, -1]
+    model = LinearModel(fact, y, np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):
         state, tr = run("utamp", model, GaussianPrior(), max_iters=50)
     assert tr.status == "diverged" and state.t == 1
-    assert np.all(np.isfinite(state.x)) and not np.all(np.isfinite(state.s))
+    assert state.s.shape == (4,) and np.all(np.isfinite(state.s[:-1])) and np.isinf(state.s[-1])
+
+
+def test_tall_run_with_the_smallest_normal_sigma2_stays_finite():
+    # r holds only the k rows that Lam reaches, so the energy of y outside
+    # the range of A, tau_s = 1 / sigma2 there, never meets s: no floating
+    # point exception, and at sigma2 -> 0 the step's Jacobian has eigenvalues
+    # exp(+-i pi / 3), so x lands on the least-squares solution every third
+    # iteration, t = 2, 5, ..., 50
+    rng = np.random.default_rng(0)
+    model = LinearModel(rng.standard_normal((6, 4)), 10 * rng.standard_normal(6), np.finfo(float).tiny)
+    with np.errstate(all="raise"):
+        state, tr = run("utamp", model, GaussianPrior(), max_iters=50)
+    assert tr.status != "diverged" and state.t == 50
+    assert np.all(np.isfinite(state.s))
+    ls = np.linalg.lstsq(model.A, model.y, rcond=None)[0]
+    assert np.linalg.norm(state.x - ls) <= 1e-12 * np.linalg.norm(ls)
 
 
 def test_identity_matrix_hits_posterior_within_three_iterations():
@@ -623,13 +648,13 @@ def _reference_ut_step(state, tm, prior):
     tau_x = float(np.mean(state.tau_x))
     tau_p = tau_x * tm.lam_p
     z = fact.lam * (np.fft.fft(state.x, norm="ortho") if dft else _reference_product(fact.V, state.x))
-    p = np.pad(z, (0, fact.M - z.size)) - tau_p * state.s
+    p = z - tau_p * state.s
     tau_s = 1.0 / (tau_p + tm.sigma2)
     s = tau_s * (tm.r - p)
     # the reduction is the one deliberate change: np.dot ran through BLAS
     denom = float(np.einsum("i,i", tm.lam_p, tau_s))
     tau_q = tm.N / denom if denom > 0 else np.inf
-    z = np.conj(fact.lam) * s[: fact.lam.size]
+    z = np.conj(fact.lam) * s
     corr = np.fft.ifft(z, norm="ortho") if dft else _reference_product(fact.V.conj().T, z)
     q = state.x + tau_q * corr if np.isfinite(tau_q) else state.x + 0.0 * corr
     mean, var = _reference_denoise(q, tau_q, prior)
@@ -663,7 +688,7 @@ def test_ut_step_is_bit_identical_to_the_out_of_place_step(case):
     rng = np.random.default_rng(24)
     y = rng.standard_normal(m) if y is None else y
     tm = LinearModel(fact, y, 0.05).transformed
-    state = initial_state("utamp", n, m, prior, dtype=dtype)
+    state = initial_state("utamp", n, tm.r.size, prior, dtype=dtype)
     for _ in range(4):
         want = _reference_ut_step(state, tm, prior)
         new, tau_q = ut_amp_step(state, tm, prior)

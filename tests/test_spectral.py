@@ -262,7 +262,14 @@ def test_numeric_matrix_matches_independent_construction(kind, shape):
     c = spectral_coefficients(fp, fact.lam, 0.3, shape)
     lib = numeric_iteration_matrix(fact, c, prior)
     oracle = iteration_matrix_oracle(A, fp.tau_x, c.alpha, 0.3)
-    assert np.allclose(lib, oracle, atol=1e-10), f"{kind} {shape}"
+    # the step holds s on the k rows that Lam reaches; the oracle's rows and
+    # columns of the measurement directions past k are zero
+    (m, n), k = shape, min(shape)
+    keep, dropped = np.r_[0:k, m : m + n], np.r_[k:m]
+    assert lib.shape == (k + n, k + n)
+    assert np.allclose(lib, oracle[np.ix_(keep, keep)], atol=1e-10), f"{kind} {shape}"
+    assert np.max(np.abs(oracle[dropped]), initial=0.0) <= 1e-12
+    assert np.max(np.abs(oracle[:, dropped]), initial=0.0) <= 1e-12
 
 
 def test_closed_form_matches_dense_eigendecomposition_complex():
@@ -335,6 +342,23 @@ def test_closed_form_is_the_jacobian_of_the_step(kind, m, n, complex_valued, log
 
 
 # ------------------------------------------------------------- certify
+
+
+@pytest.mark.parametrize("shape", [(12, 8), (24, 8), (30, 20)])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_numeric_check_runs_on_the_k_rows_that_lam_reaches(shape, complex_valued):
+    # gesdd's route and the QR route: the step's Jacobian is (k + N)-square,
+    # and with the M - k zeros of the other measurement directions its
+    # eigenvalues are the closed form's M + N
+    rng = np.random.default_rng(8)
+    (m, n), k = shape, min(shape)
+    A = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_valued else 0)
+    fact = svd_factorize(A / np.sqrt(m))
+    prior = GaussianPrior()
+    cert = certify(fact, prior, sigma2=0.05, check_numeric=True)
+    assert numeric_iteration_matrix(fact, cert.coefficients, prior).shape == (k + n, k + n)
+    assert cert.eigenvalues.size == m + n
+    assert cert.numeric_discrepancy <= 1e-12
 
 
 def test_certify_accepts_model_factorization_and_array():
