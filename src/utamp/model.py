@@ -3,17 +3,18 @@
 A model is the triple (A, y, sigma2) for y = A x + n with n ~ N(0, sigma2 I);
 A is held densely or, matrix-free, as its factorization.
 A factorization A = U Lam V (U, V unitary, Lam diagonal, rectangular when
-M != N) supports the transformed model r = U^H y = Lam V x + w, which the
+M != N) supports the transformed model r = U_k^H y = Lam V x + w, which the
 transform-domain solver iterates on, on the k = min(M, N) rows of Lam that
-are not zero.  One class per unitary transform: SvdFactorization stores
-thin singular factors, a tall A's U_k only as the Householder reflectors
-of a QR factorization and the k x k U_R of an SVD of its triangle;
-DftFactorization applies the DFT of a circulant A by FFTs, densifies A
-from its first column, and builds U or V only when read;
-RealDftFactorization holds a real circulant A on the N//2 + 1 bins of the
-half spectrum, for real x.  Every complex FFT goes through _threads._fft, in
-_fft's order (the real transforms are pocketfft's rfft and irfft), and the
-applies run their elementwise passes in blocks on its worker threads.
+are not zero; its project(y) gives r and the squared norm of the part of
+y outside the range of U_k.  One class per unitary transform:
+SvdFactorization stores thin singular factors, a tall A's U_k only as the
+Householder reflectors of a QR factorization and the k x k U_R of an SVD
+of its triangle; DftFactorization applies the DFT of a circulant A by FFTs
+and densifies A from its first column; RealDftFactorization holds a real
+circulant A on the N//2 + 1 bins of the half spectrum, for real x.  Every
+complex FFT goes through _threads._fft, in _fft's order (the real
+transforms are pocketfft's rfft and irfft), and the applies run their
+elementwise passes in blocks on its worker threads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._threads import _blockwise, _fft, _order
+from ._threads import _blockwise, _fft
 
 __all__ = [
     "LinearModel",
@@ -72,7 +73,7 @@ class LinearModel:
     A is a dense matrix or a Factorization of it.  ``fact`` is the one
     factorization of the problem, read by the transform-domain solver, the
     LMMSE oracle and the certificate: the one the model was built on, or a
-    thin SVD of a dense A on first read.  ``transformed`` holds r = U^H y
+    thin SVD of a dense A on first read.  ``transformed`` holds r = U_k^H y
     on it, also computed once.  A model built on a factorization
     is matrix-free: the dense ``A`` (with ``abs2`` and ``frob2``) is built
     on first read, for the consumers that need it (the AMP baselines and the
@@ -138,13 +139,11 @@ class LinearModel:
     @cached_property
     def transformed(self) -> TransformedModel:
         """The model after left-multiplying by U^H, computed on first read, so
-        that run and lmmse_transformed share one transform: r is the first k
-        entries of fact.transform(y) and outside the energy of the rest, so
-        ||r - Lam V x||^2 + outside = ||y - A x||^2 for every x."""
-        fact, k = self.fact, self.fact.lam.size
-        u = fact.transform(self.y)
-        rest = u[k:].view(np.float64)
-        return TransformedModel(fact, u[:k], self.sigma2, np.abs(fact.lam) ** 2, float(np.einsum("i,i", rest, rest)))
+        that run and lmmse_transformed share one projection: (r, outside) =
+        fact.project(y), so ||r - Lam V x||^2 + outside = ||y - A x||^2 for
+        every x."""
+        r, outside = self.fact.project(self.y)
+        return TransformedModel(self.fact, r, self.sigma2, np.abs(self.fact.lam) ** 2, outside)
 
 
 @dataclass(eq=False)
@@ -153,10 +152,11 @@ class Factorization:
 
     lam holds the k diagonal entries of Lam.  The applies are written once
     here, on those k entries; a subclass supplies _v (x -> V_k x), _vh (its
-    adjoint), transform (y -> U^H y) and reconstruct (A, dense).  _v and
-    transform return a fresh array and leave their argument alone (apply_av
-    scales the result in place); _vh may overwrite its argument, which
-    apply_avh allocates for it.
+    adjoint), project (y -> (U_k^H y, the squared norm of the part of y
+    outside the range of U_k)) and reconstruct (A, dense).  _v and project
+    return a fresh array and leave their argument alone (apply_av scales
+    the result in place); _vh may overwrite its argument, which apply_avh
+    allocates for it.
     """
 
     lam: np.ndarray
@@ -189,8 +189,8 @@ class Factorization:
         return self._vh(z)
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:
-        """Return U_k^H y, the first k entries of U^H y."""
-        return self.transform(y)[: self.lam.size]
+        """Return U_k^H y, project(y) without the part outside."""
+        return self.project(y)[0]
 
 
 @dataclass(eq=False)
@@ -200,20 +200,13 @@ class SvdFactorization(Factorization):
     factorized as A = Q R and its triangle as R = U_R Lam V_k, so
     U_k = Q_k U_R is held as the N Householder reflectors of Q (as
     np.linalg.qr's "raw" mode leaves them, M*N entries) and the k x k U_R;
-    U_k itself is formed only when read, from a QR factorization of the
-    held A.  Otherwise U_R is U_k."""
+    U_k itself is formed only by reconstruct, from a QR factorization of
+    the held A.  Otherwise U_R is U_k."""
 
     _UR: np.ndarray = field(repr=False)
     _V: np.ndarray = field(repr=False)
     # (A, h, tau) of A's QR factorization on the tall route, else None
     _qr: tuple | None = field(default=None, repr=False)
-    V = property(lambda self: self._V)
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        if self._qr is None:
-            return self._UR
-        return np.linalg.qr(self._qr[0])[0] @ self._UR
 
     def _v(self, x: np.ndarray) -> np.ndarray:
         return _matmul(self._V, x)
@@ -239,26 +232,23 @@ class SvdFactorization(Factorization):
         """U_R^H w[:k] on the QR route (w = Q^H y), else U_k^H w (w = y)."""
         return _matmul_h(self._UR, w[: self._UR.shape[0]])
 
-    def transform(self, y: np.ndarray) -> np.ndarray:
-        """Return r = U^H y (length M) for U_k completed by the normalized
-        part of y outside its range: r[:k] = U_k^H y, r[k] = the norm of
-        that part when M > k, zeros after.  So ||r - Lam V x|| = ||y - A x||
-        for every x."""
+    def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """Return (U_k^H y, the squared norm of the part of y outside the
+        range of U_k), 0.0 for the latter when M = k.  So ||r - Lam V x||^2
+        + outside = ||y - A x||^2 for every x."""
         k = self.lam.size
         w = self._qh(y)
-        r = np.pad(self._urh(w), (0, self.M - k))
-        if self.M > k:
-            # the part of y outside the range of U_k; in Q's basis, (Q^H y)[k:]
-            r[k] = np.linalg.norm(w[k:] if self._qr else y - _matmul(self._UR, r[:k]))
-        return r
+        r = self._urh(w)
+        if self.M == k:
+            return r, 0.0
+        # in Q's basis the part outside is (Q^H y)[k:]
+        norm = np.linalg.norm(w[k:] if self._qr else y - _matmul(self._UR, r))
+        return r, float(norm * norm)
 
     def reconstruct(self) -> np.ndarray:
         """Densify U_k Lam V_k.  Round-trips the factorized matrix."""
-        return (self.U * self.lam) @ self._V
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x as U_k (Lam V_k x)."""
-        return _matmul(self.U, self.lam * self._v(x))
+        U = self._UR if self._qr is None else np.linalg.qr(self._qr[0])[0] @ self._UR
+        return (U * self.lam) @ self._V
 
 
 def _matmul(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -280,11 +270,10 @@ class DftFactorization(Factorization):
     """Circulant A: U = V^H, V the normalized DFT with rows in _fft's order
     (DFT order below 2^16 and for prime N), by FFTs; lam holds A's possibly
     complex eigenvalues in that order.  column is A's first column as it was
-    given, which A densifies from."""
+    given, which A densifies from.  U^H y is V y and has all N entries, so
+    nothing of y lies outside."""
 
     column: np.ndarray = field(repr=False)
-    V = cached_property(lambda self: np.fft.fft(np.eye(self.N), axis=0, norm="ortho")[_order(self.N)])
-    U = property(lambda self: self.V.conj().T)
 
     def _v(self, x: np.ndarray) -> np.ndarray:
         return _fft(np.array(x, dtype=np.complex128))
@@ -292,7 +281,8 @@ class DftFactorization(Factorization):
     def _vh(self, z: np.ndarray) -> np.ndarray:
         return _fft(z, inverse=True)
 
-    transform = _v  # U^H = V
+    def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        return self._v(y), 0.0
 
     def reconstruct(self) -> np.ndarray:
         """Densify A from its first column, without the DFT matrix."""
@@ -324,9 +314,9 @@ class RealDftFactorization(Factorization):
     1: bin k, 0 < k < N/2, stands for itself and its mirror N - k.  The
     last weight is 1 only for even N, where bin N/2 is its own mirror; for
     odd N it is 2.  bin_sum takes such a sum as twice the plain sum less
-    the unpaired bins.  DftFactorization.half_spectrum builds one; there is
-    no dense U or V, and lam holds N//2 + 1 of A's N eigenvalues, so what
-    reads lam as A's spectrum (certify) takes the complex DftFactorization."""
+    the unpaired bins.  DftFactorization.half_spectrum builds one; lam holds
+    N//2 + 1 of A's N eigenvalues, so what reads lam as A's spectrum
+    (certify) takes the complex DftFactorization."""
 
     column: np.ndarray = field(repr=False)
 
@@ -346,7 +336,8 @@ class RealDftFactorization(Factorization):
     def _vh(self, z: np.ndarray) -> np.ndarray:
         return np.fft.irfft(z, n=self.N, norm="ortho")
 
-    transform = _v
+    def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        return self._v(y), 0.0
 
     def reconstruct(self) -> np.ndarray:
         """Densify A from its first column, without the DFT matrix."""
@@ -415,9 +406,10 @@ def circulant_matrix(first_column) -> np.ndarray:
 class TransformedModel:
     """The problem after left-multiplying by U^H: r = Lam V x + w.
 
-    r holds the first k entries of U^H y and lam_p the k values |lam|^2;
-    the rest of U^H y meets zero rows of Lam, and outside holds its energy
-    (0.0 when k = M).  The transformed noise w has covariance sigma2 I.
+    r holds U_k^H y, the k entries of U^H y that Lam reaches, and lam_p the
+    k values |lam|^2; the rest of U^H y meets zero rows of Lam, and outside
+    holds its energy, the squared norm of the part of y outside the range
+    of U_k (0.0 when k = M).  The transformed noise w has covariance sigma2 I.
     """
 
     fact: Factorization

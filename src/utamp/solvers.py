@@ -6,7 +6,7 @@ Three step kernels share one loop driver:
 * scalar stepsize: |A|^2 collapsed to its average via the Frobenius norm,
   one variance scalar per side;
 * transform domain: scalar variances on the estimate, per-element variances
-  in the measurement domain, iterating on r = U^H y = Lam V x + w so the
+  in the measurement domain, iterating on r = U_k^H y = Lam V x + w so the
   per-iteration cost is two unitary applies (FFTs in the circulant case,
   real FFTs on the N//2 + 1 bins of the half spectrum when the circulant,
   y and the prior are real).
@@ -164,8 +164,11 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
 
     residual, when given, is a length-1 float array set to ||y - A x|| of
     state.x, from ||r - Lam V x||^2, reduced block by block in the chain from
-    the product Lam V x before p overwrites it, plus tmodel.outside.
+    the product Lam V x before p overwrites it, plus tmodel.outside.  An s
+    whose length is not r's raises ValueError.
     """
+    if state.s.size != tmodel.r.size:
+        raise ValueError(f"s has length {state.s.size}, but r has length {tmodel.r.size}")
     fact = tmodel.fact
     tau_x = state.tau_x_mean()
     p = fact.apply_av(state.x)
@@ -247,7 +250,7 @@ class Trace:
 
 def initial_state(algorithm: str, n: int, m: int, prior, dtype=float) -> SolverState:
     """Prior-mean start: x = E[x], tau_x = Var[x] (per element or averaged),
-    dual variable zero."""
+    dual variable zero, of length m: M, or tmodel.r.size for utamp."""
     x = prior.mean_vector(n).astype(np.result_type(dtype, prior.mean_vector(1).dtype))
     var = prior.variance_vector(n)
     if algorithm == "vector":
@@ -273,11 +276,6 @@ def _check_x_tol(x_tol: float) -> float:
     return x_tol
 
 
-def _all_finite(a: np.ndarray, out: np.ndarray) -> bool:
-    """Whether every entry of a is finite, in one blocked pass through out."""
-    return all(_blockwise(lambda b: np.isfinite(a[b], out=out[b]).all(), a.size))
-
-
 def run(
     algorithm: str,
     model: LinearModel,
@@ -294,17 +292,17 @@ def run(
     half spectrum instead (RealDftFactorization) and returns a real x.
 
     Stops when the relative change of x drops to x_tol (converged), after
-    max_iters iterations (max_iters), or when the estimate or the dual
-    variable goes non-finite or the estimate's norm passes _DIVERGENCE_NORM
-    (diverged).  max_iters = 0 is valid and returns the initial state
-    untouched.  The initial state and every iterate are recorded alike;
+    max_iters iterations (max_iters), or when the estimate goes non-finite
+    or its norm passes _DIVERGENCE_NORM (diverged); a non-finite dual
+    variable reaches the estimate in the same step.  max_iters = 0 is valid
+    and returns the initial state untouched.  The initial state and every iterate are recorded alike;
     each record's residual is ||y - A x||, which utamp reads off its
     transformed model.  The step that starts from x reports that residual
     from the product A x it computes anyway, so its record is completed one
     step late, and an iteration costs two applies (utamp) or two products
     with A; the last state's residual costs one more product.  rel_change,
-    mse, the norm and the finiteness test take one blocked pass each,
-    through buffers allocated once per call.
+    mse and the norm take one blocked pass each, through buffers allocated
+    once per call.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -333,7 +331,7 @@ def run(
     state = initial_state(algorithm, model.N, target.size, prior, dtype=dtype)
     n, x_true = model.N, model.x_true
     diff = np.empty(n, np.result_type(state.x, state.x if x_true is None else x_true))
-    finite, residual = np.empty(target.size, bool), np.empty(1)
+    residual = np.empty(1)
 
     def sq_distance(a, c):  # ||a - c||^2 in one blocked pass through diff
         return sum(_blockwise(lambda b: _sumsq(np.subtract(a[b], c[b], out=diff[b])), n, aligned=True))
@@ -350,7 +348,7 @@ def run(
             mse=None if x_true is None else sq_distance(x, x_true) / n,
         )
         # a non-finite x has a non-finite norm
-        if state.t and not (norm <= _DIVERGENCE_NORM and _all_finite(state.s, finite)):
+        if state.t and not norm <= _DIVERGENCE_NORM:
             trace.status = "diverged"
         elif state.t and rel <= x_tol:
             trace.status = "converged"

@@ -162,7 +162,7 @@ def test_criterion_3_error_contracts_at_certified_rate():
         cert = certify(model, prior)
         xstar = lmmse_oracle(model.A, model.y, sigma2, np.zeros(n), np.ones(n))
         tm = model.transformed
-        state = initial_state("utamp", n, m, prior)
+        state = initial_state("utamp", n, tm.r.size, prior)
         errs = []
         for _ in range(120):
             state, _ = ut_amp_step(state, tm, prior)

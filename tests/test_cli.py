@@ -489,17 +489,17 @@ def test_compare_matrix_file_factorizes_once(tmp_path, capsys, monkeypatch):
 
 
 def test_compare_matrix_file_transforms_once(tmp_path, monkeypatch):
-    # run("utamp") and the LMMSE oracle share the model's one r = U^H y
+    # run("utamp") and the LMMSE oracle share the model's one r = U_k^H y
     path = tmp_path / "A.txt"
     save_matrix(path, generate_matrix(EnsembleSpec(kind="column_correlated", M=60, N=30, seed=4)))
     calls = []
-    real_transform = SvdFactorization.transform
+    real_project = SvdFactorization.project
 
-    def counting_transform(self, y):
+    def counting_project(self, y):
         calls.append(y.shape)
-        return real_transform(self, y)
+        return real_project(self, y)
 
-    monkeypatch.setattr(SvdFactorization, "transform", counting_transform)
+    monkeypatch.setattr(SvdFactorization, "project", counting_project)
     assert main(["compare", "--matrix", str(path), "--sigma2", "0.01", "--seed", "2"]) == 0
     assert calls == [(60,)]
 

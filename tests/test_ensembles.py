@@ -134,7 +134,7 @@ def test_circulant_taps_are_the_generated_first_column():
         circulant_taps(EnsembleSpec(kind="iid_gaussian", M=3, N=3))
 
 
-@pytest.mark.parametrize("case", ["dft", "dft_complex_taps", "dft_complex_prior", "svd"])
+@pytest.mark.parametrize("case", ["dft", "dft_complex_taps", "dft_complex_prior", "half_spectrum", "svd"])
 def test_synthesize_from_factorization_matches_dense_route(case):
     # same signal and noise draws as the dense route; only A x is formed
     # from the factors, so y agrees to rounding and keeps its dtype
@@ -152,11 +152,13 @@ def test_synthesize_from_factorization_matches_dense_route(case):
         fact = svd_factorize(A)
     else:
         fact = circulant_factorize(taps)
+    if case == "half_spectrum":
+        fact = fact.half_spectrum()  # no matvec: A x is reconstruct() @ x
     dense = synthesize_instance(A, prior, sigma2=0.1, seed=8)
     free = synthesize_instance(fact, prior, sigma2=0.1, seed=8)
     assert free.fact is fact and "A" not in vars(free)
     assert np.array_equal(free.x_true, dense.x_true)
-    assert free.y.dtype == dense.y.dtype == (float if case in ("dft", "svd") else complex)
+    assert free.y.dtype == dense.y.dtype == (float if case in ("dft", "half_spectrum", "svd") else complex)
     assert np.linalg.norm(free.y - dense.y) <= 1e-13 * np.linalg.norm(dense.y)
 
 

@@ -135,6 +135,12 @@ def test_abs2_is_bit_identical_in_one_array(complex_entries):
     assert peak < 1.5 * abs2.nbytes, f"peak {peak / abs2.nbytes:.2f} x the result's bytes"
 
 
+def _dense_u(fact):
+    # U_k of an SvdFactorization from the factors it holds, which the library
+    # forms only inside reconstruct: U_R, after Q on the QR route
+    return fact._UR if fact._qr is None else np.linalg.qr(fact._qr[0])[0] @ fact._UR
+
+
 @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_svd_factorization_identities(shape, complex_entries):
@@ -147,20 +153,22 @@ def test_svd_factorization_identities(shape, complex_entries):
     k = min(shape)
 
     # thin storage: U_k is M x k, V_k is k x N, both with orthonormal rows/columns
-    assert f.U.shape == (m, k) and f.V.shape == (k, n)
-    assert np.allclose(f.U.conj().T @ f.U, np.eye(k), atol=1e-12)
-    assert np.allclose(f.V @ f.V.conj().T, np.eye(k), atol=1e-12)
+    U, V = _dense_u(f), f._V
+    assert U.shape == (m, k) and V.shape == (k, n)
+    assert np.allclose(U.conj().T @ U, np.eye(k), atol=1e-12)
+    assert np.allclose(V @ V.conj().T, np.eye(k), atol=1e-12)
     assert np.allclose(f.reconstruct(), A), "U_k Lam V_k must reproduce A"
 
     x = rng.standard_normal(n)
     y = rng.standard_normal(m)
-    assert np.allclose(f.matvec(x), f.reconstruct() @ x)
+    assert np.allclose(U @ (f.lam * (V @ x)), f.reconstruct() @ x)
     # Lam V x lives in the transform domain on the k rows that Lam reaches:
-    # U^H A x is zero past k, and lifting Lam V x back with U_k gives A x
+    # no part of A x lies outside the range of U_k, and lifting Lam V x back
+    # with U_k gives A x
     lvx = f.apply_av(x)
     assert lvx.shape == (k,)
-    assert np.allclose(f.transform(A @ x)[k:], 0.0)
-    assert np.allclose(f.U @ lvx, A @ x)
+    assert np.isclose(f.project(A @ x)[1], 0.0)
+    assert np.allclose(U @ lvx, A @ x)
     assert np.allclose(f.apply_uh(A @ x), lvx)
     # adjoint identity <s, Lam V x> = <V^H Lam^H s, x>, and both against A
     s = rng.standard_normal(k)
@@ -217,15 +225,16 @@ def test_svd_factorize_matches_gesdd_on_every_route(problem, bad):
     # route (M >= 2N) returns its singular values and V_k bit for bit; below
     # 2N the route is gesdd's own
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    assert np.array_equal(f.lam, s) and np.array_equal(f.V, vh)
+    assert np.array_equal(f.lam, s) and np.array_equal(f._V, vh)
     scale = max(s[0], np.finfo(float).tiny)
 
-    assert np.linalg.norm(f.U.conj().T @ f.U - np.eye(k)) <= 1e-13
+    U = _dense_u(f)
+    assert np.linalg.norm(U.conj().T @ U - np.eye(k)) <= 1e-13
     assert np.linalg.norm(f.reconstruct() - A) <= 1e-13 * scale
-    r = f.transform(y)
-    assert r.shape == (m,) and np.all(r[k + 1:] == 0.0)
-    assert abs(np.linalg.norm(r) - np.linalg.norm(y)) <= 1e-13 * np.linalg.norm(y)
-    gap = abs(np.hypot(np.linalg.norm(r[:k] - f.apply_av(x)), np.linalg.norm(r[k:])) - np.linalg.norm(y - A @ x))
+    r, outside = f.project(y)
+    assert r.shape == (k,) and (outside == 0.0 if m == k else outside >= 0.0)
+    assert abs(np.hypot(np.linalg.norm(r), np.sqrt(outside)) - np.linalg.norm(y)) <= 1e-13 * np.linalg.norm(y)
+    gap = abs(np.hypot(np.linalg.norm(r - f.apply_av(x)), np.sqrt(outside)) - np.linalg.norm(y - A @ x))
     assert gap <= 1e-13 * (np.linalg.norm(y) + scale * np.linalg.norm(x))
 
     # UT-AMP and the transform-coordinate oracle on the parent's dense U_k
@@ -295,8 +304,10 @@ def test_circulant_factorization_matches_dense():
     fs = svd_factorize(A)
     x = rng.standard_normal(8)
     s = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    # both routes must represent the same operator
-    assert np.allclose(f.U @ f.apply_av(x), A @ x)
+    # both routes must represent the same operator; U = V^H, V the
+    # normalized DFT matrix with rows in _fft's order
+    V = np.fft.fft(np.eye(8), axis=0, norm="ortho")[_threads._order(8)]
+    assert np.allclose(V.conj().T @ f.apply_av(x), A @ x)
     assert np.allclose(f.apply_avh(f.apply_uh(A @ x)), fs.apply_avh(fs.apply_uh(A @ x)))
     assert np.allclose(np.sort(np.abs(f.lam)), np.sort(fs.lam), atol=1e-12)
     # adjoint identity holds for the FFT route too
@@ -365,7 +376,7 @@ def test_circulant_factorize_rejects_bad_input():
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
-def test_unitary_transform_padding(shape):
+def test_project_keeps_the_k_rows_that_lam_reaches(shape):
     rng = np.random.default_rng(5)
     A = rng.standard_normal(shape)
     model = LinearModel(A, rng.standard_normal(shape[0]), 0.1)
@@ -375,12 +386,12 @@ def test_unitary_transform_padding(shape):
     k = min(shape)
     assert t.lam_p.shape == (k,)
     assert np.allclose(t.lam_p, f.lam**2)
-    # U^H y is U_k^H y, then the norm of the out-of-range part of y, then
-    # zeros; r keeps the first k and outside the energy of the rest
-    u = f.transform(model.y)
-    assert u.shape == (shape[0],) and np.all(u[k + 1:] == 0.0)
-    assert t.r.shape == (k,) and np.array_equal(t.r, u[:k])
-    assert np.allclose(t.r, f.U.conj().T @ model.y)
+    # project(y) is U_k^H y and the energy of the part of y outside the
+    # range of U_k, nothing when M = k; the transformed model keeps both
+    r, outside = f.project(model.y)
+    assert outside >= 0.0 and (outside == 0.0) == (shape[0] == k)
+    assert t.r.shape == (k,) and np.array_equal(t.r, r) and t.outside == outside
+    assert np.allclose(t.r, _dense_u(f).conj().T @ model.y)
     assert np.isclose(np.linalg.norm(t.r) ** 2 + t.outside, np.linalg.norm(model.y) ** 2)
     for _ in range(3):
         x = rng.standard_normal(shape[1])
@@ -390,6 +401,45 @@ def test_unitary_transform_padding(shape):
     lam_full[:k, :k] = np.diag(f.lam)
     rows = np.sum(lam_full**2, axis=1)
     assert np.allclose(t.lam_p, rows[:k]) and np.all(rows[k:] == 0.0)
+
+
+def _project_cases():
+    # (factorization, complex x and y): the QR route (M >= 2N) and gesdd's
+    # own, wide, square and complex SVDs, the DFT and the half spectrum at
+    # an even and an odd N
+    rng = np.random.default_rng(32)
+    complex_tall = rng.standard_normal((40, 10)) + 1j * rng.standard_normal((40, 10))
+    return {
+        "svd_tall_qr": (svd_factorize(rng.standard_normal((40, 10))), False),
+        "svd_tall": (svd_factorize(rng.standard_normal((30, 20))), False),
+        "svd_wide": (svd_factorize(rng.standard_normal((10, 25))), False),
+        "svd_square": (svd_factorize(rng.standard_normal((15, 15))), False),
+        "svd_complex": (svd_factorize(complex_tall), True),
+        "dft": (circulant_factorize(rng.standard_normal(16) + 1j * rng.standard_normal(16)), True),
+        "half_spectrum_even": (circulant_factorize(rng.standard_normal(16)).half_spectrum(), False),
+        "half_spectrum_odd": (circulant_factorize(rng.standard_normal(15)).half_spectrum(), False),
+    }
+
+
+@pytest.mark.parametrize("case", list(_project_cases()))
+def test_project_accounts_for_all_of_y(case):
+    # ||r - Lam V x||^2 + outside = ||y - A x||^2, the sum over r taken with
+    # the factorization's bin weights; apply_uh is project's r
+    fact, complex_entries = _project_cases()[case]
+    m, n = fact.shape
+    rng = np.random.default_rng(33)
+    A = fact.reconstruct()
+    for _ in range(3):
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        if complex_entries:
+            x, y = x + 1j * rng.standard_normal(n), y + 1j * rng.standard_normal(m)
+        r, outside = fact.project(y)
+        assert r.shape == fact.lam.shape and isinstance(outside, float)
+        d = r - fact.apply_av(x)
+        got = fact.bin_sum(np.vdot(d, d).real, lambda i: abs(d[i]) ** 2) + outside
+        want = np.vdot(y - A @ x, y - A @ x).real
+        assert abs(got - want) <= 1e-12 * want
+        assert fact.apply_uh(y).tobytes() == r.tobytes()
 
 
 # the QR route (M >= 2N) real and complex, and gesdd's own route; M x 8
@@ -415,7 +465,8 @@ def test_tall_svd_iterates_on_the_k_rows_that_lam_reaches(shape, complex_entries
     model = LinearModel(fact, y, 0.1)
     t = model.transformed
     assert t.r.shape == t.lam_p.shape == (k,)
-    rest = y - fact.U @ (fact.U.conj().T @ y)
+    U = _dense_u(fact)
+    rest = y - U @ (U.conj().T @ y)
     want = np.vdot(rest, rest).real
     assert abs(t.outside - want) <= 1e-12 * want
     state, trace = run("utamp", model, GaussianPrior(complex_valued=complex_entries), max_iters=3)
@@ -818,12 +869,12 @@ def test_real_svd_factor_applies_complex_vectors_without_casting():
     fact = svd_factorize(rng.standard_normal((2000, 600)))
     m, n = fact.shape
     k = fact.lam.size
-    U, V = fact.U.astype(complex), fact.V.astype(complex)
+    V = fact._V.astype(complex)
     _, h, tau = fact._qr
     h, U_R = h.astype(complex), fact._UR.astype(complex)
 
     def uh_cast(y):
-        # U_R^H (Q^H y)[:k], the reflectors applied in the order transform applies them
+        # U_R^H (Q^H y)[:k], the reflectors applied in the order project applies them
         w = y.copy()
         for j in range(k):
             v = h[j, j:].copy()
@@ -835,8 +886,6 @@ def test_real_svd_factor_applies_complex_vectors_without_casting():
         (fact._v, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: V @ x),
         (fact._vh, rng.standard_normal(k) + 1j * rng.standard_normal(k), lambda z: V.conj().T @ z),
         (fact.apply_uh, rng.standard_normal(m) + 1j * rng.standard_normal(m), uh_cast),
-        # its second product alone: the first is _v's
-        (fact.matvec, rng.standard_normal(n) + 1j * rng.standard_normal(n), lambda x: U @ (fact.lam * fact._v(x))),
     ]
     for apply, vec, cast_product in cases:
         want = cast_product(vec)
@@ -849,9 +898,9 @@ def test_real_svd_factor_applies_complex_vectors_without_casting():
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), apply.__name__
         # a complex cast of either factor alone takes twice its bytes, and
         # V (600 x 600) is the smaller
-        assert peak < fact.V.nbytes / 4, f"{apply.__name__}: peak {peak} bytes"
+        assert peak < fact._V.nbytes / 4, f"{apply.__name__}: peak {peak} bytes"
     x = rng.standard_normal(n)
-    assert fact._v(x).tobytes() == (fact.V @ x).tobytes()
+    assert fact._v(x).tobytes() == (fact._V @ x).tobytes()
 
 
 # ------------------------------------------------------------- FFT kernel

@@ -121,11 +121,13 @@ def test_ut_step_matches_manual_computation():
 
         new, got_tau_q = ut_amp_step(state, tm, prior)
 
-        # full unitary factors: the library's thin ones completed by the
-        # trailing singular vectors of a test-local full SVD
+        # full unitary factors: the library's thin ones (U_R is U_k off the
+        # QR route) completed by the trailing singular vectors of a
+        # test-local full SVD
+        assert fact._qr is None
         u_full, _, vh_full = np.linalg.svd(A, full_matrices=True)
-        U = np.hstack([fact.U, u_full[:, k:]])
-        V = np.vstack([fact.V, vh_full[k:]])
+        U = np.hstack([fact._UR, u_full[:, k:]])
+        V = np.vstack([fact._V, vh_full[k:]])
         assert np.allclose(U.T @ U, np.eye(m), atol=1e-12)
         assert np.allclose(V @ V.T, np.eye(n), atol=1e-12)
         lam_full = np.zeros((m, n))
@@ -192,7 +194,7 @@ class _FullSVD(Factorization):
 def _ut_iterates(tm, model, prior, max_iters, x_tol):
     # the run() loop for utamp, keeping every iterate
     dtype = np.result_type(tm.r.dtype, float)
-    state = initial_state("utamp", model.N, model.M, prior, dtype=dtype)
+    state = initial_state("utamp", model.N, tm.r.size, prior, dtype=dtype)
     xs = [state.x]
     for _ in range(max_iters):
         prev = state.x
@@ -416,23 +418,42 @@ def test_run_statuses():
         np.testing.assert_allclose(tr.last()["residual"], direct, rtol=1e-12, atol=0.0, err_msg=f"{alg} {kw}")
 
 
-def test_run_reads_a_non_finite_dual_variable_as_divergence():
-    # a zero column gives an exactly zero singular value, a kept row of r
-    # where tau_p = 0; with sigma2 the smallest normal float, tau_s = 1 /
-    # sigma2 there times an r of 10 overflows s on that row.  The run must
-    # stop there, not go on to max_iters; the row's 0 * inf reaches x
-    # through V^H in the same step, so x cannot stay finite
+def _zero_mode_problem(route):
+    # (fact, y, the row of r at a zero of lam, k): a zero singular value or
+    # eigenvalue whose direction carries 10 of y beside a random A x
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((6, 4))
-    A[:, -1] = 0.0
-    fact = svd_factorize(A)
-    assert fact.lam[-1] == 0.0
-    y = A @ rng.standard_normal(4) + 10.0 * fact.U[:, -1]
-    model = LinearModel(fact, y, np.finfo(float).tiny)
-    with np.errstate(over="ignore", invalid="ignore"):
-        state, tr = run("utamp", model, GaussianPrior(), max_iters=50)
-    assert tr.status == "diverged" and state.t == 1
-    assert state.s.shape == (4,) and np.all(np.isfinite(state.s[:-1])) and np.isinf(state.s[-1])
+    if route == "svd":
+        # a zero column; off the QR route U_R is U_k, whose last column is
+        # the zero singular value's
+        A = rng.standard_normal((6, 4))
+        A[:, -1] = 0.0
+        fact = svd_factorize(A)
+        assert fact._qr is None and fact.lam[-1] == 0.0
+        return fact, A @ rng.standard_normal(4) + 10.0 * fact._UR[:, -1], 3, 4
+    # taps [1, -1, 0, ...]: lam[0], the sum of the taps, is 0 and its
+    # eigenvector is the constant vector; a complex y takes the complex route
+    taps = np.zeros(8)
+    taps[:2] = 1.0, -1.0
+    fact = circulant_factorize(taps)
+    assert fact.lam[0] == 0.0 and fact.half_spectrum().lam[0] == 0.0
+    y = circulant_matrix(taps) @ rng.standard_normal(8) + 10.0 * np.ones(8) / np.sqrt(8)
+    return (fact, y.astype(complex), 0, 8) if route == "dft" else (fact, y, 0, 5)
+
+
+def test_run_reads_a_non_finite_dual_variable_as_divergence():
+    # the zero keeps a row of r where tau_p = 0; with sigma2 the smallest
+    # normal float, tau_s = 1 / sigma2 there times an r of 10 overflows s on
+    # that row.  The run must stop there, not go on to max_iters; the row's
+    # 0 * inf reaches x through V^H in the same step, so x cannot stay
+    # finite, and the norm test ends the run
+    for route in ("svd", "dft", "half_spectrum"):
+        fact, y, zero, k = _zero_mode_problem(route)
+        model = LinearModel(fact, y, np.finfo(float).tiny)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, tr = run("utamp", model, GaussianPrior(), max_iters=50)
+        assert tr.status == "diverged" and state.t == 1, route
+        assert state.s.shape == (k,) and np.isinf(state.s[zero]), route
+        assert np.all(np.isfinite(np.delete(state.s, zero))), route
 
 
 def test_tall_run_with_the_smallest_normal_sigma2_stays_finite():
@@ -562,11 +583,11 @@ def _frozen(*arrays):
 @pytest.mark.parametrize("name", list(_factorizations()))
 def test_applies_and_step_leave_their_inputs_unchanged(name):
     fact = _factorizations()[name]
-    m, n = fact.shape
+    (m, n), k = fact.shape, fact.lam.size
     rng = np.random.default_rng(22)
     for x, s, y in [
-        (rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(m)),
-        (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(m) + 1j * rng.standard_normal(m),
+        (rng.standard_normal(n), rng.standard_normal(k), rng.standard_normal(m)),
+        (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(k) + 1j * rng.standard_normal(k),
          rng.standard_normal(m) + 1j * rng.standard_normal(m)),
     ]:
         before = _frozen(x, s, y)
@@ -577,7 +598,7 @@ def test_applies_and_step_leave_their_inputs_unchanged(name):
 
     prior = BernoulliGaussianPrior(rho=0.3)
     tm = LinearModel(fact, rng.standard_normal(m), 0.1).transformed
-    state = initial_state("utamp", n, m, prior, dtype=tm.r.dtype)
+    state = initial_state("utamp", n, k, prior, dtype=tm.r.dtype)
     for _ in range(3):
         before = _frozen(state.x, state.s, tm.r, tm.lam_p)
         new, _ = ut_amp_step(state, tm, prior)
@@ -647,7 +668,7 @@ def _reference_ut_step(state, tm, prior):
     dft = isinstance(fact, DftFactorization)
     tau_x = float(np.mean(state.tau_x))
     tau_p = tau_x * tm.lam_p
-    z = fact.lam * (np.fft.fft(state.x, norm="ortho") if dft else _reference_product(fact.V, state.x))
+    z = fact.lam * (np.fft.fft(state.x, norm="ortho") if dft else _reference_product(fact._V, state.x))
     p = z - tau_p * state.s
     tau_s = 1.0 / (tau_p + tm.sigma2)
     s = tau_s * (tm.r - p)
@@ -655,7 +676,7 @@ def _reference_ut_step(state, tm, prior):
     denom = float(np.einsum("i,i", tm.lam_p, tau_s))
     tau_q = tm.N / denom if denom > 0 else np.inf
     z = np.conj(fact.lam) * s
-    corr = np.fft.ifft(z, norm="ortho") if dft else _reference_product(fact.V.conj().T, z)
+    corr = np.fft.ifft(z, norm="ortho") if dft else _reference_product(fact._V.conj().T, z)
     q = state.x + tau_q * corr if np.isfinite(tau_q) else state.x + 0.0 * corr
     mean, var = _reference_denoise(q, tau_q, prior)
     return [mean, float(np.mean(var)), s, tau_q]
@@ -938,7 +959,7 @@ def _manual_utamp(model, prior, max_iters, x_tol):
     # the complex route as run() took it before the half spectrum: the
     # model's own transformed model and a state of r's dtype
     tm = model.transformed
-    state = initial_state("utamp", model.N, model.M, prior, dtype=np.result_type(tm.r.dtype, float))
+    state = initial_state("utamp", model.N, tm.r.size, prior, dtype=np.result_type(tm.r.dtype, float))
     for _ in range(max_iters):
         prev = state.x
         state, tau_q = ut_amp_step(state, tm, prior)
@@ -963,20 +984,37 @@ def test_complex_circulant_problems_stay_on_the_complex_route_bit_for_bit(case):
 
 
 def test_a_hand_built_transformed_model_still_steps():
-    # the custom-loop route: TransformedModel from (fact, r, sigma2, lam_p),
-    # a complex s, and the bare step, as a benchmark or a user builds it
-    prior = BernoulliGaussianPrior(rho=0.2)
-    model, _ = _circulant_model(64, 6, prior)
-    fact = model.fact
+    # the custom-loop route as perfbench/child.py's fft_op builds it, at
+    # N = 4096: circulant_factorize, r from apply_uh, TransformedModel from
+    # (fact, r, sigma2, lam_p), a complex s of length N from initial_state,
+    # and the bare step, which must step as the model's own transformed
+    # model does, bit for bit
+    n, sigma2 = 4096, 1e-3
+    rng = np.random.default_rng(6)
+    taps = rng.standard_normal(n) / np.sqrt(n)
+    prior = BernoulliGaussianPrior(rho=0.1)
+    x = prior.sample(n, rng)
+    y = np.fft.ifft(np.fft.fft(taps) * np.fft.fft(x)).real + np.sqrt(sigma2) * rng.standard_normal(n)
+    fact = circulant_factorize(taps)
     lam_p = np.abs(fact.lam) ** 2
-    tm = TransformedModel(fact=fact, r=fact.apply_uh(model.y), sigma2=model.sigma2, lam_p=lam_p)
-    ref = model.transformed
-    a = b = initial_state("utamp", 64, 64, prior, dtype=complex)
-    for _ in range(5):
+    tm = TransformedModel(fact=fact, r=fact.apply_uh(y), sigma2=sigma2, lam_p=lam_p)
+    ref = LinearModel(fact, y, sigma2).transformed
+    a = b = initial_state("utamp", n, n, prior, dtype=complex)
+    for _ in range(20):
         a, tau_a = ut_amp_step(a, tm, prior)
         b, tau_b = ut_amp_step(b, ref, prior)
         assert a.x.tobytes() == b.x.tobytes() and a.s.tobytes() == b.s.tobytes() and tau_a == tau_b
     assert a.s.dtype == np.complex128 and np.all(np.isfinite(a.x))
+
+
+def test_ut_step_rejects_a_dual_variable_of_the_wrong_length():
+    # a tall problem's r holds its k = N rows; an s of M entries is not cut
+    # to k, and a shorter one is named rather than failing to broadcast
+    prior = GaussianPrior()
+    model = synthesize_instance(generate_matrix(EnsembleSpec(kind="iid_gaussian", M=20, N=12, seed=4)), prior, 0.05, seed=4)
+    for m in (20, 11):
+        with pytest.raises(ValueError, match=f"^s has length {m}, but r has length 12$"):
+            ut_amp_step(initial_state("utamp", 12, m, prior), model.transformed, prior)
 
 
 @pytest.mark.parametrize("algorithm", ["vector", "scalar", "utamp"])
@@ -985,7 +1023,7 @@ def test_a_step_reports_the_residual_of_the_state_it_was_given(algorithm):
     model = synthesize_instance(generate_matrix(EnsembleSpec(kind="iid_gaussian", M=20, N=12, seed=4)), prior, 0.05, seed=4)
     problem = model.transformed if algorithm == "utamp" else model
     step = {"vector": vector_amp_step, "scalar": scalar_amp_step, "utamp": ut_amp_step}[algorithm]
-    state = initial_state(algorithm, 12, 20, prior)
+    state = initial_state(algorithm, 12, 12 if algorithm == "utamp" else 20, prior)
     residual = np.empty(1)
     for _ in range(3):
         new, tau_q = step(state, problem, prior, residual=residual)
