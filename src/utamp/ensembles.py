@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DftFactorization, Factorization, LinearModel, _noise_variance, circulant_matrix
+from .model import Factorization, LinearModel, _noise_variance, circulant_matrix
 
 __all__ = ["ENSEMBLE_KINDS", "EnsembleSpec", "stream", "circulant_taps", "generate_matrix", "synthesize_instance"]
 
@@ -146,9 +146,8 @@ def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
 def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
     """Draw x from the prior and noise from N(0, sigma2), return the model.
 
-    A is a dense matrix or a Factorization, which gives a matrix-free model;
-    a DftFactorization forms A x by two FFTs, any other its reconstruct()
-    times x.
+    A is a dense matrix or a Factorization, which gives a matrix-free model
+    (A x by its matvec where it has one, as the Factorization contract says).
     The signal and noise streams depend only on (seed, domain), never on the
     matrix, so regenerating A with different knobs keeps the same x and n.
     Complex matrices or priors get circularly-symmetric complex noise.
@@ -158,7 +157,7 @@ def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
         A = np.asarray(A)
     m, n = A.shape
     x = prior.sample(n, stream(seed, DOMAIN_SIGNAL))
-    if isinstance(A, DftFactorization):
+    if hasattr(A, "matvec"):
         ax = A.matvec(x)
     else:
         ax = (A.reconstruct() if isinstance(A, Factorization) else A) @ x

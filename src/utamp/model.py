@@ -156,7 +156,8 @@ class Factorization:
     outside the range of U_k)) and reconstruct (A, dense).  _v and project
     return a fresh array and leave their argument alone (apply_av scales
     the result in place); _vh may overwrite its argument, which apply_avh
-    allocates for it.
+    allocates for it.  The DFT classes also supply matvec, A x by FFTs; A x
+    of one without it (SvdFactorization) is reconstruct() @ x.
     """
 
     lam: np.ndarray
@@ -342,6 +343,10 @@ class RealDftFactorization(Factorization):
     def reconstruct(self) -> np.ndarray:
         """Densify A from its first column, without the DFT matrix."""
         return circulant_matrix(self.column)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x of a real x by two real FFTs."""
+        return np.fft.irfft(self.lam * np.fft.rfft(x), n=self.N)
 
 
 def svd_factorize(A) -> SvdFactorization:

@@ -454,6 +454,23 @@ def test_run_reads_a_non_finite_dual_variable_as_divergence():
         assert tr.status == "diverged" and state.t == 1, route
         assert state.s.shape == (k,) and np.isinf(state.s[zero]), route
         assert np.all(np.isfinite(np.delete(state.s, zero))), route
+    # the AMP baselines' s reaches x through A^H s.  A zero row of A keeps
+    # the vector kernel's tau_p = 0 on that row, so with sigma2 the
+    # smallest normal float s = y / sigma2 overflows there; the scalar
+    # kernel's tau_p is a mean over the rows and is 0 only for a zero A.
+    # Either way the row's 0 * inf makes x non-finite in the same step
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    A[2] = 0.0
+    y = A @ rng.standard_normal(4)
+    y[2] = 10.0
+    for alg, A in (("vector", A), ("vector", 0.0 * A), ("scalar", 0.0 * A)):
+        model = LinearModel(A, y, np.finfo(float).tiny)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, tr = run(alg, model, GaussianPrior(), max_iters=50)
+        assert tr.status == "diverged" and state.t == 1, alg
+        assert np.isinf(state.s[2]), alg
+        assert not np.any(np.isfinite(state.x)), alg
 
 
 def test_tall_run_with_the_smallest_normal_sigma2_stays_finite():
