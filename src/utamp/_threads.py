@@ -1,9 +1,12 @@
 """The worker threads of the package and the FFT that runs on them.
 
 _fft is the one FFT kernel of the DFT route; a long transform runs as a
-threaded four-step FFT, in place and in its own output order (_order).  The
-threads (_split) also run a step's long elementwise chains in cache-sized
-blocks (_blockwise); matrixio's forked file I/O reads _workers as well.
+threaded four-step FFT in its own output order (_order), the forward one
+straight from its source vector, the inverse in place.  A caller's
+elementwise pass (_fft's each) runs on each row block of it while the block
+is in cache, on the worker that holds it.  The threads (_split) also run
+long elementwise chains in cache-sized blocks (_blockwise); matrixio's
+forked file I/O reads _workers as well.
 """
 
 from __future__ import annotations
@@ -27,14 +30,38 @@ _pool = None  # (pid, executor) of _split's worker threads
 _pool_lock = threading.Lock()
 
 
-def _fft(z: np.ndarray, inverse: bool = False, norm: str = "ortho") -> np.ndarray:
-    """The DFT (or its inverse) of the complex128 vector z, in place, for norm
-    "ortho" or "backward"; returns z.  The forward result is in _order's
-    order and the inverse takes its input in that order."""
+def _fft(z: np.ndarray, inverse: bool = False, norm: str = "ortho", src=None, each=None) -> np.ndarray:
+    """The DFT (or its inverse) into the complex128 vector z, for norm
+    "ortho" or "backward"; returns z.  The forward transform reads src, a
+    vector of z's length that it leaves alone (z itself, in place, when
+    None; a src of another dtype is first copied into z); the inverse works
+    in place.  The forward result is in _order's order and the inverse takes
+    its input in that order.
+
+    each, when given, is called on consecutive slices of z while they are in
+    cache: after the forward transform has written a slice, before the
+    inverse reads it.  On a four-step FFT the slices are its row blocks, on
+    the worker that holds the block, else _blockwise's.  Either way they
+    start at multiples of their length whatever the number of workers, and
+    are _FOUR_STEP_MIN long unless the four-step's row length n1 does not
+    divide it (it does at every power of two).  each must touch only its
+    slice, and must not call _split."""
+    if inverse and src is not None:
+        raise ValueError("the inverse transform works in place; it takes no src")
+    src = z if src is None else np.asarray(src)
+    if src.dtype != z.dtype:
+        # numpy's FFT would cast it to a complex copy; z holds that copy instead
+        z[...] = src
+        src = z
     plan = _four_step_plan(z.size) if z.size >= _FOUR_STEP_MIN else None
-    if plan is None:
-        return (np.fft.ifft if inverse else np.fft.fft)(z, norm=norm, out=z)
-    return _four_step(z, *plan, norm, inverse)
+    if plan is not None:
+        return _four_step(z, *plan, norm, inverse, src, each)
+    if inverse and each is not None:
+        _blockwise(each, z.size, aligned=True)
+    (np.fft.ifft if inverse else np.fft.fft)(src, norm=norm, out=z)
+    if not inverse and each is not None:
+        _blockwise(each, z.size, aligned=True)
+    return z
 
 
 def _order(n: int):
@@ -68,21 +95,27 @@ def _four_step_plan(n: int):
     return n1, n2, tw
 
 
-def _four_step(z: np.ndarray, n1: int, n2: int, tw: np.ndarray, norm: str, inverse: bool) -> np.ndarray:
-    """The DFT of z (length n = n1 n2) in place by Bailey's four-step FFT without
+def _four_step(z: np.ndarray, n1: int, n2: int, tw: np.ndarray, norm: str, inverse: bool, src, each) -> np.ndarray:
+    """The DFT of src (length n = n1 n2) into z by Bailey's four-step FFT without
     its transpose: length-n2 column FFTs, twiddles, length-n1 row FFTs, so that
     X[k2 + n2 k1] lands in z[k1 + n1 k2]; the inverse runs the steps backwards, to
-    natural order.  The workers split each batch (the rows in cache-sized blocks),
-    and each transform runs whole on one thread, so no bit depends on their number."""
+    natural order, in place.  The workers split each batch, and each transform
+    runs whole on one thread, so no bit depends on their number.  The rows go in
+    blocks of about _FOUR_STEP_MIN entries, aligned as _fft's each needs."""
     a = z.reshape(n2, n1)  # a[j2, j1] = z[j1 + n1 j2]
+    s = src.reshape(n2, n1)
     fft = np.fft.ifft if inverse else np.fft.fft
+    step = max(1, _FOUR_STEP_MIN // n1)
 
     def columns(c):
-        fft(a[:, c], axis=0, norm=norm, out=a[:, c])
+        fft(s[:, c], axis=0, norm=norm, out=a[:, c])
 
     def rows(r):
         ar = a[r]
+        b = slice(r.start * n1, r.stop * n1)
         if inverse:
+            if each is not None:
+                each(b)
             fft(ar, axis=1, norm=norm, out=ar)
             # a conj(tw) as conj(conj(a) tw): the same bits, and no conjugated table
             np.conjugate(ar, out=ar)
@@ -91,10 +124,15 @@ def _four_step(z: np.ndarray, n1: int, n2: int, tw: np.ndarray, norm: str, inver
         else:
             np.multiply(ar, tw[r], out=ar)
             fft(ar, axis=1, norm=norm, out=ar)
+            if each is not None:
+                each(b)
 
-    passes = [(columns, n1, 0), (rows, n2, max(1, _FOUR_STEP_MIN // n1))]
-    for fn, m, step in passes[::-1] if inverse else passes:
-        _split(fn, m, step)
+    if inverse:
+        _split(rows, n2, step, aligned=True)
+        _split(columns, n1)
+    else:
+        _split(columns, n1)
+        _split(rows, n2, step, aligned=True)
     return z
 
 
@@ -111,9 +149,10 @@ def _split(fn, m: int, step: int = 0, aligned: bool = False) -> list:
     first), each walked at most step at a time (whole when 0), and return fn's
     results in slice order.  aligned starts every part at a multiple of step,
     so that the slices do not depend on the number of workers, at the price of
-    uneven parts; else the parts are as even as m allows.  fn must not call
-    _split: the pool has one thread fewer than the workers, so nesting can
-    deadlock."""
+    uneven parts; else the parts are as even as m allows.  fn runs under the
+    caller's np.errstate on every worker, which a thread does not inherit.  fn
+    must not call _split: the pool has one thread fewer than the workers, so
+    nesting can deadlock."""
     if aligned:
         blocks = -(-m // step)
         k = min(_workers(), blocks)
@@ -122,9 +161,12 @@ def _split(fn, m: int, step: int = 0, aligned: bool = False) -> list:
         k = min(_workers(), m)
         bounds = [m * i // k for i in range(k + 1)]
 
+    err = np.geterr()
+
     def walk(lo, hi):
         size = step or hi - lo
-        return [fn(slice(b, min(b + size, hi))) for b in range(lo, hi, size)]
+        with np.errstate(**err):
+            return [fn(slice(b, min(b + size, hi))) for b in range(lo, hi, size)]
 
     futures = [_executor().submit(walk, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
     try:
@@ -144,7 +186,6 @@ def _blockwise(fn, n: int, aligned: bool = False) -> list:
     return fn's results in slice order.  A reduction passes aligned, which
     starts the slices at multiples of _FOUR_STEP_MIN whatever the number of
     workers, so that its partial sums, added in order, do not depend on it.
-    A worker does not inherit the caller's np.errstate; fn enters its own.
     fn takes each view once, so numpy skips its overlap check on out=."""
     if n < _FOUR_STEP_MIN:
         return [fn(slice(0, n))]

@@ -69,7 +69,6 @@ def _conjugate(tau_q, tau0):
     tau_q = inf gives back the prior: tau0 / inf is gain 0, and the shrink
     inf / inf = nan is taken as 1 by fmin, which leaves every finite shrink
     (at most 1) alone."""
-    # a worker thread does not inherit the caller's error state
     with np.errstate(invalid="ignore"):
         return tau0 / (tau0 + tau_q), np.fmin(tau_q / (tau0 + tau_q), 1.0)
 
@@ -230,7 +229,6 @@ def bg_denoise(q, tau_q, prior: BernoulliGaussianPrior) -> DenoiserOutput:
             # one work array holds -t, then exp(-t), then pi = 1 / (1 + exp(-t))
             pi = np.multiply(scale, m2)
             np.subtract(offset, pi, out=pi)
-            # a worker thread does not inherit the caller's error state;
             # exp(-t) = inf below t = -709 gives pi = 0, the exact limit
             with np.errstate(over="ignore"):
                 np.exp(pi, out=pi)

@@ -13,8 +13,12 @@ of its triangle; DftFactorization applies the DFT of a circulant A by FFTs
 and densifies A from its first column; RealDftFactorization holds a real
 circulant A on the N//2 + 1 bins of the half spectrum, for real x.  Every
 complex FFT goes through _threads._fft, in _fft's order (the real
-transforms are pocketfft's rfft and irfft), and the applies run their
-elementwise passes in blocks on its worker threads.
+transforms are pocketfft's rfft and irfft); it reads the vector it
+transforms where it lies, with no complex copy.  The applies run their
+elementwise passes (the Lam multiplies and a caller's chain, apply_av's
+then) on blocks of the transform on its worker threads: inside the
+four-step FFT's row pass on the DFT route, in one blocked pass after or
+before the transform elsewhere.
 """
 
 from __future__ import annotations
@@ -154,10 +158,14 @@ class Factorization:
     here, on those k entries; a subclass supplies _v (x -> V_k x), _vh (its
     adjoint), project (y -> (U_k^H y, the squared norm of the part of y
     outside the range of U_k)) and reconstruct (A, dense).  _v and project
-    return a fresh array and leave their argument alone (apply_av scales
-    the result in place); _vh may overwrite its argument, which apply_avh
-    allocates for it.  The DFT classes also supply matvec, A x by FFTs; A x
-    of one without it (SvdFactorization) is reconstruct() @ x.
+    return a fresh array of length k and leave their argument alone; _vh
+    may overwrite its argument, which apply_avh hands it.  _v(x, each) and
+    _vh(z, each) call each(b, zb) on consecutive blocks b of the length-k
+    vector (zb its view there): _v once it has written a block, _vh before
+    it reads one; the DFT class runs each inside its FFT's row pass, while
+    the block is in cache, the others in one blocked pass (_blocked) after
+    or before the transform.  The DFT classes also supply matvec, A x by
+    FFTs; A x of one without it (SvdFactorization) is reconstruct() @ x.
     """
 
     lam: np.ndarray
@@ -177,21 +185,39 @@ class Factorization:
         term(i), bin i's summand.  Every bin stands for one entry here."""
         return total
 
-    def apply_av(self, x: np.ndarray) -> np.ndarray:
-        """Return Lam V x (length k) without forming A."""
-        z = self._v(x)
-        _blockwise(lambda b: np.multiply(self.lam[b], (zb := z[b]), out=zb), z.size)
-        return z
+    def apply_av(self, x: np.ndarray, then=None) -> np.ndarray:
+        """Return Lam V x (length k) without forming A.  then, when given, is
+        called as then(b, zb) on each block zb = (Lam V x)[b] right after Lam
+        scales it, in the same blocked pass; the blocks start at multiples
+        of their length whatever the number of CPUs (_threads._fft's each),
+        so a caller may sum per-block results in block order.  then runs on
+        the worker threads and must touch only its block."""
 
-    def apply_avh(self, s: np.ndarray) -> np.ndarray:
-        """Return V^H Lam^H s (length N), the adjoint of apply_av."""
-        z = np.empty(self.lam.size, np.result_type(self.lam, s))
-        _blockwise(lambda b: np.multiply(np.conjugate(self.lam[b], out=(zb := z[b])), s[b], out=zb), z.size)
-        return self._vh(z)
+        def scale(b, zb):
+            np.multiply(self.lam[b], zb, out=zb)
+            if then is not None:
+                then(b, zb)
+
+        return self._v(x, scale)
+
+    def apply_avh(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return V^H Lam^H s (length N), the adjoint of apply_av.  Lam^H s is
+        built in out when given, a length-k array of its dtype whose contents
+        are dead (the DFT class returns V^H Lam^H s there), else in a new one."""
+        z = np.empty(self.lam.size, np.result_type(self.lam, s)) if out is None else out
+        return self._vh(z, lambda b, zb: np.multiply(np.conjugate(self.lam[b], out=zb), s[b], out=zb))
 
     def apply_uh(self, y: np.ndarray) -> np.ndarray:
         """Return U_k^H y, project(y) without the part outside."""
         return self.project(y)[0]
+
+
+def _blocked(z: np.ndarray, each) -> np.ndarray:
+    """z, after each(b, z[b]) has run on its blocks in one aligned blocked
+    pass (_blockwise), or untouched when each is None."""
+    if each is not None:
+        _blockwise(lambda b: each(b, z[b]), z.size, aligned=True)
+    return z
 
 
 @dataclass(eq=False)
@@ -209,11 +235,11 @@ class SvdFactorization(Factorization):
     # (A, h, tau) of A's QR factorization on the tall route, else None
     _qr: tuple | None = field(default=None, repr=False)
 
-    def _v(self, x: np.ndarray) -> np.ndarray:
-        return _matmul(self._V, x)
+    def _v(self, x: np.ndarray, each=None) -> np.ndarray:
+        return _blocked(_matmul(self._V, x), each)
 
-    def _vh(self, z: np.ndarray) -> np.ndarray:
-        return _matmul_h(self._V, z)
+    def _vh(self, z: np.ndarray, each=None) -> np.ndarray:
+        return _matmul_h(self._V, _blocked(z, each))
 
     def _qh(self, y: np.ndarray) -> np.ndarray:
         """Q^H y, by the reflectors H_j = I - tau_j v_j v_j^H in turn on a
@@ -276,11 +302,12 @@ class DftFactorization(Factorization):
 
     column: np.ndarray = field(repr=False)
 
-    def _v(self, x: np.ndarray) -> np.ndarray:
-        return _fft(np.array(x, dtype=np.complex128))
+    def _v(self, x: np.ndarray, each=None) -> np.ndarray:
+        z = np.empty(self.lam.size, np.complex128)
+        return _fft(z, src=x, each=None if each is None else lambda b: each(b, z[b]))
 
-    def _vh(self, z: np.ndarray) -> np.ndarray:
-        return _fft(z, inverse=True)
+    def _vh(self, z: np.ndarray, each=None) -> np.ndarray:
+        return _fft(z, inverse=True, each=None if each is None else lambda b: each(b, z[b]))
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         return self._v(y), 0.0
@@ -291,8 +318,9 @@ class DftFactorization(Factorization):
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x by two FFTs, real exactly when A and x are, as for A @ x."""
-        fx = _fft(np.array(x, dtype=np.complex128), norm="backward")
-        ax = _fft(np.multiply(self.lam, fx, out=fx), inverse=True, norm="backward")
+        fx = np.empty(self.lam.size, np.complex128)
+        _fft(fx, norm="backward", src=x, each=lambda b: np.multiply(self.lam[b], (fb := fx[b]), out=fb))
+        ax = _fft(fx, inverse=True, norm="backward")
         return ax.real if np.isrealobj(x) and np.isrealobj(self.column) else ax
 
     def half_spectrum(self) -> RealDftFactorization:
@@ -331,11 +359,11 @@ class RealDftFactorization(Factorization):
         hi = self.lam.size if hi is None else hi
         return 2.0 * total - sum(term(i) for i in self.unpaired if lo <= i < hi)
 
-    def _v(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(x, norm="ortho")
+    def _v(self, x: np.ndarray, each=None) -> np.ndarray:
+        return _blocked(np.fft.rfft(x, norm="ortho"), each)
 
-    def _vh(self, z: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(z, n=self.N, norm="ortho")
+    def _vh(self, z: np.ndarray, each=None) -> np.ndarray:
+        return np.fft.irfft(_blocked(z, each), n=self.N, norm="ortho")
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         return self._v(y), 0.0
@@ -397,7 +425,7 @@ def circulant_factorize(first_column) -> DftFactorization:
     if c.ndim != 1 or c.size < 1:
         raise FactorizationError(f"first column must be a nonempty 1-D array, got shape {c.shape}")
     c = np.ascontiguousarray(c)
-    lam = _fft(np.array(_finite(c, "first column"), dtype=np.complex128), norm="backward")
+    lam = _fft(np.empty(c.size, np.complex128), norm="backward", src=_finite(c, "first column"))
     return DftFactorization(lam=lam, shape=(c.size, c.size), column=c)
 
 

@@ -155,49 +155,55 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     half spectrum of RealDftFactorization).
 
     Outside the denoiser the step holds at most three arrays of length k
-    of its own: p (built in the output of apply_av), tau_s and s until the
-    reduction, then s and q (built in the output of apply_avh).  tau_p lives
-    one block at a time.  The elementwise chains here, in the applies and in
-    the denoiser run on every CPU from 2^16 entries up (_threads._blockwise);
-    the reductions stay whole, or add the blocks' sums in block order, so the
-    iterate does not depend on the number of CPUs.
+    of its own: Lam V x (the output of apply_av), tau_s and s until the
+    reduction, then s and q.  The chain (tau_p, p = Lam V x - tau_p s,
+    tau_s, s and the residual's block sum) is apply_av's then: it runs on
+    each block of Lam V x right after Lam scales it, inside the FFT's row
+    pass on the DFT route, and keeps tau_p and p one block at a time.  Lam^H s
+    is built in Lam V x's dead buffer (apply_avh's out), and so is q on the
+    DFT route, where V^H applies in place.  The elementwise chains here, in the
+    applies and in the denoiser run on every CPU from 2^16 entries up
+    (_threads); the reductions stay whole, or add the blocks' sums in block
+    order, so the iterate does not depend on the number of CPUs.
 
     residual, when given, is a length-1 float array set to ||y - A x|| of
-    state.x, from ||r - Lam V x||^2, reduced block by block in the chain from
-    the product Lam V x before p overwrites it, plus tmodel.outside.  An s
-    whose length is not r's raises ValueError.
+    state.x, from ||r - Lam V x||^2, reduced block by block in the chain,
+    plus tmodel.outside.  An s whose length is not r's raises ValueError.
     """
     if state.s.size != tmodel.r.size:
         raise ValueError(f"s has length {state.s.size}, but r has length {tmodel.r.size}")
     fact = tmodel.fact
     tau_x = state.tau_x_mean()
-    p = fact.apply_av(state.x)
-    dtype = np.result_type(p, state.s, tmodel.r)
-    p = p.astype(dtype, copy=False)
-    tau_s, s = np.empty(p.size), np.empty(p.size, dtype)
+    # the dtype of p = Lam V x - tau_p s, known before apply_av returns Lam V x:
+    # V is complex only where U, and so r, is
+    dtype = np.result_type(state.x, state.s, tmodel.r, fact.lam)
+    tau_s, s = np.empty(state.s.size), np.empty(state.s.size, dtype)
+    parts = {}
 
-    def chain(b):
-        p_b, tau_s_b, s_b = p[b], tau_s[b], s[b]
-        # r - Lam V x in s's block, before s is built there
-        part = None if residual is None else _sumsq(np.subtract(tmodel.r[b], p_b, out=s_b), fact, b.start)
+    def chain(b, lvx_b):
+        tau_s_b, s_b = tau_s[b], s[b]
+        if residual is not None:
+            # r - Lam V x in s's block, before s is built there
+            parts[b.start] = _sumsq(np.subtract(tmodel.r[b], lvx_b, out=s_b), fact, b.start)
         tau_p_b = np.multiply(tau_x, tmodel.lam_p[b])
         np.multiply(tau_p_b, state.s[b], out=s_b, dtype=dtype)
-        p_b -= s_b
+        np.subtract(lvx_b, s_b, out=s_b)  # p
         np.add(tau_p_b, tmodel.sigma2, out=tau_s_b)
         np.reciprocal(tau_s_b, out=tau_s_b)
-        np.subtract(tmodel.r[b], p_b, out=s_b)
+        np.subtract(tmodel.r[b], s_b, out=s_b)
         np.multiply(tau_s_b, s_b, out=s_b)
-        return part
 
-    parts = _blockwise(chain, p.size, aligned=residual is not None)
+    lvx = fact.apply_av(state.x, then=chain)
     if residual is not None:
-        residual[0] = math.sqrt(sum(parts, tmodel.outside))
+        residual[0] = math.sqrt(sum((parts[i] for i in sorted(parts)), tmodel.outside))
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
     denom = fact.bin_sum(float(np.einsum("i,i", tmodel.lam_p, tau_s)), lambda i: tmodel.lam_p[i] * tau_s[i])
-    del p, tau_s  # before apply_avh allocates q
+    del tau_s
     tau_q = tmodel.N / denom if denom > 0 else np.inf
-    q = _guarded_correction(state.x, tau_q, fact.apply_avh(s))
+    # Lam V x is dead: Lam^H s is built in it, and on the DFT route q as well
+    q = _guarded_correction(state.x, tau_q, fact.apply_avh(s, out=lvx if lvx.dtype == dtype else None))
+    del lvx
     out = prior.denoise(q, tau_q)
     new = SolverState(x=out.mean, tau_x=out.var_scalar, s=s, t=state.t + 1)
     return new, tau_q

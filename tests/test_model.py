@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -928,21 +929,88 @@ def test_fft_kernel_matches_numpy(n):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (True, norm)
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-def test_fft_kernel_allocates_no_length_n_array(inverse):
+@pytest.mark.parametrize("route", ["forward", "inverse", "real_source", "complex_source"])
+def test_fft_kernel_allocates_no_length_n_array(route):
     # the four-step works in place in both directions: no transposed result
-    # and no reversal buffer, each of which took 16 n bytes
+    # and no reversal buffer, each of which took 16 n bytes; a forward that
+    # reads a source allocates only its output, and no complex copy of the
+    # source
     n = 2**17
     assert _threads._four_step_plan(n) is not None  # built outside the trace
     z = np.random.default_rng(37).standard_normal(n) + 1j
+    src = {"real_source": z.real.copy(), "complex_source": z.copy()}.get(route)
+    frozen = None if src is None else src.tobytes()
     tracemalloc.start()
     try:
-        got = _threads._fft(z, inverse=inverse)
+        if src is None:
+            got = _threads._fft(z, inverse=route == "inverse")
+        else:
+            got = _threads._fft(np.empty(n, np.complex128), src=src)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got is z
-    assert peak < z.nbytes / 4, f"peak {peak / z.nbytes:.2f} x 16 n bytes"
+    if src is None:
+        assert got is z
+        assert peak < z.nbytes / 4, f"peak {peak / z.nbytes:.2f} x 16 n bytes"
+    else:
+        assert src.tobytes() == frozen
+        assert peak < got.nbytes * 1.25, f"peak {peak / got.nbytes:.2f} x 16 n bytes"
+        want = np.fft.fft(src, norm="ortho")[_threads._order(n)]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", _KERNEL_LENGTHS + [100_000])
+def test_fft_kernel_runs_each_on_aligned_blocks_in_cache(monkeypatch, n):
+    # each sees a forward block once the transform has written it and an
+    # inverse block before the transform reads it, on blocks that start at
+    # multiples of their length whatever the number of workers: 2^16 entries
+    # where n1 divides it, 262 rows of 250 at n = 100_000, _blockwise's
+    # blocks for a prime n
+    rng = np.random.default_rng(n + 2)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    order = _threads._order(n)
+    want = np.fft.fft(x, norm="ortho")[order]
+    results = {}
+    for count in (1, 3):
+        monkeypatch.setattr(_threads, "_workers", lambda: count)
+        z, seen = np.empty(n, np.complex128), {}
+        _threads._fft(z, src=x, each=lambda b: seen.__setitem__((b.start, b.stop), z[b].copy()))
+        assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
+        assert all(np.array_equal(block, z[lo:hi]) for (lo, hi), block in seen.items())
+        back = np.empty(n, np.complex128)
+        inverse_blocks = []
+
+        def fill(b):
+            inverse_blocks.append((b.start, b.stop))
+            back[b] = z[b]
+
+        _threads._fft(back, inverse=True, each=fill)
+        assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
+        results[count] = sorted(seen), sorted(inverse_blocks)
+    blocks = results[1][0]
+    size = blocks[0][1]
+    assert blocks == [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    assert size == (65_500 if n == 100_000 else _threads._FOUR_STEP_MIN)
+    assert results[1] == results[3] == (blocks, blocks)
+
+
+def test_blocks_on_the_workers_run_under_the_callers_errstate(monkeypatch):
+    # a thread does not inherit np.errstate, so _split hands the caller's to
+    # every worker: a block there raises, warns or stays silent as it would
+    # on the calling thread
+    monkeypatch.setattr(_threads, "_workers", lambda: 3)
+    n = 4 * _threads._FOUR_STEP_MIN
+    big = np.full(n, 1e300)
+    with np.errstate(over="raise"):
+        assert set(_threads._blockwise(lambda b: np.geterr()["over"], n)) == {"raise"}
+        seen = []
+        _threads._fft(np.ones(n, complex), each=lambda b: seen.append(np.geterr()["over"]))
+        assert seen == ["raise"] * 4
+        with pytest.raises(FloatingPointError):
+            _threads._blockwise(lambda b: big[b] * big[b], n)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.isinf(v).all() for v in _threads._blockwise(lambda b: big[b] * big[b], n))
 
 
 @pytest.mark.parametrize("complex_taps", [False, True])
@@ -1165,10 +1233,11 @@ def test_aligned_blockwise_slices_do_not_depend_on_the_worker_count(monkeypatch,
 
 
 def test_unaligned_split_keeps_its_parts_even(monkeypatch):
-    # the FFT passes and the elementwise chains split as evenly as they can:
-    # the four-step row pass at 2^16 (256 rows walked 256 at a time) and a
-    # chain one entry past the threshold both run on two workers in halves
+    # the four-step column pass and the unaligned elementwise chains split
+    # as evenly as they can: the 256 columns at 2^16 and a chain one entry
+    # past the threshold both run on two workers in halves (the row pass is
+    # aligned for its per-block function, and runs as one block at 2^16)
     monkeypatch.setattr(_threads, "_workers", lambda: 2)
-    assert _threads._split(lambda r: (r.start, r.stop), 256, 256) == [(0, 128), (128, 256)]
+    assert _threads._split(lambda c: (c.start, c.stop), 256) == [(0, 128), (128, 256)]
     n = _threads._FOUR_STEP_MIN + 1
     assert _threads._blockwise(lambda b: (b.start, b.stop), n) == [(0, n // 2), (n // 2, n)]
