@@ -146,10 +146,10 @@ def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
 def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
     """Draw x from the prior and noise from N(0, sigma2), return the model.
 
-    A is a dense matrix or a Factorization, which gives a matrix-free model
-    (A x by its matvec where it has one, as the Factorization contract says).
-    The signal and noise streams depend only on (seed, domain), never on the
-    matrix, so regenerating A with different knobs keeps the same x and n.
+    A is a dense matrix or a Factorization (A x by its matvec), which gives
+    a matrix-free model.  The signal and noise streams depend only on (seed,
+    domain), never on the matrix, so regenerating A with different knobs
+    keeps the same x and n.
     Complex matrices or priors get circularly-symmetric complex noise.
     """
     sigma2 = _noise_variance(sigma2)  # checked before it scales the noise
@@ -157,10 +157,7 @@ def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
         A = np.asarray(A)
     m, n = A.shape
     x = prior.sample(n, stream(seed, DOMAIN_SIGNAL))
-    if hasattr(A, "matvec"):
-        ax = A.matvec(x)
-    else:
-        ax = (A.reconstruct() if isinstance(A, Factorization) else A) @ x
+    ax = A.matvec(x) if isinstance(A, Factorization) else A @ x
     rng = stream(seed, DOMAIN_NOISE)
     if np.iscomplexobj(ax):
         noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))

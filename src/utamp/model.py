@@ -157,16 +157,16 @@ class Factorization:
     lam holds the k diagonal entries of Lam.  The applies are written once
     here, on those k entries; a subclass supplies _v (x -> V_k x), _vh (its
     adjoint), project (y -> (U_k^H y, the squared norm of the part of y
-    outside the range of U_k)) and reconstruct (A, dense).  _v and project
-    return a fresh array of length k and leave their argument alone; _vh
-    may overwrite its argument, which apply_avh hands it.  _v(x, each) and
-    _vh(z, each) call each(b, zb) on consecutive blocks b of the length-k
-    vector (zb its view there): _v once it has written a block, _vh before
-    it reads one; the DFT class runs each inside its FFT's row pass, while
-    the block is in cache, the others in one blocked pass (_blocked) after
-    or before the transform.  The DFT classes also supply matvec, A x by
-    FFTs; A x of one without it (SvdFactorization) is reconstruct() @ x.
-    """
+    outside the range of U_k)), matvec (A x) and reconstruct (A, dense).
+    V is an isometry on every class, so norms of the k entries are plain:
+    ||r - Lam V x||^2 + outside = ||y - A x||^2, and apply_avh is the
+    adjoint of apply_av.  _v and project return a fresh array of length k
+    and leave their argument alone; _vh may overwrite its argument, which
+    apply_avh hands it.  _v(x, each) and _vh(z, each) call each(b, zb) on
+    consecutive blocks b of the length-k vector (zb its view there): _v
+    once it has written a block, _vh before it reads one; the DFT class
+    runs each inside its FFT's row pass, the others in one blocked pass
+    (_blocked) after or before the transform."""
 
     lam: np.ndarray
     shape: tuple[int, int]
@@ -178,12 +178,6 @@ class Factorization:
     @property
     def N(self) -> int:
         return self.shape[1]
-
-    def bin_sum(self, total: float, term, lo: int = 0, hi: int | None = None) -> float:
-        """A sum over the entries of U_k^H y that bins lo..hi-1 (all k when hi
-        is None) stand for, from total, the plain sum over those bins, and
-        term(i), bin i's summand.  Every bin stands for one entry here."""
-        return total
 
     def apply_av(self, x: np.ndarray, then=None) -> np.ndarray:
         """Return Lam V x (length k) without forming A.  then, when given, is
@@ -261,8 +255,7 @@ class SvdFactorization(Factorization):
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Return (U_k^H y, the squared norm of the part of y outside the
-        range of U_k), 0.0 for the latter when M = k.  So ||r - Lam V x||^2
-        + outside = ||y - A x||^2 for every x."""
+        range of U_k), 0.0 for the latter when M = k."""
         k = self.lam.size
         w = self._qh(y)
         r = self._urh(w)
@@ -276,6 +269,10 @@ class SvdFactorization(Factorization):
         """Densify U_k Lam V_k.  Round-trips the factorized matrix."""
         U = self._UR if self._qr is None else np.linalg.qr(self._qr[0])[0] @ self._UR
         return (U * self.lam) @ self._V
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x: the held A's A @ x on the QR route, else U_k (Lam V_k x)."""
+        return self._qr[0] @ x if self._qr else _matmul(self._UR, self.lam * _matmul(self._V, x))
 
 
 def _matmul(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -335,35 +332,39 @@ class RealDftFactorization(Factorization):
     """A circulant A with a real first column, applied to real x only.
 
     The DFT of a real vector is Hermitian, so its bins 0..N//2 hold all of
-    it: lam.size = N//2 + 1.  V x is those bins of the normalized DFT, in DFT
-    order (np.fft.rfft), and lam holds A's eigenvalues on them; _vh is the
-    real inverse transform of the Hermitian spectrum (np.fft.irfft), so x
-    stays real.  Both run on the calling thread at every N.  A sum over the
-    N entries of U^H y is the sum over the bins with weights 1, 2, ..., 2,
-    1: bin k, 0 < k < N/2, stands for itself and its mirror N - k.  The
-    last weight is 1 only for even N, where bin N/2 is its own mirror; for
-    odd N it is 2.  bin_sum takes such a sum as twice the plain sum less
-    the unpaired bins.  DftFactorization.half_spectrum builds one; lam holds
-    N//2 + 1 of A's N eigenvalues, so what reads lam as A's spectrum
-    (certify) takes the complex DftFactorization."""
+    it: lam.size = N//2 + 1, in DFT order, and lam holds A's eigenvalues on
+    them.  A paired bin stands for itself and its mirror N - i, so V x is
+    the normalized np.fft.rfft with the paired bins scaled by sqrt 2, and
+    ||V x|| = ||x||; _vh, its adjoint, scales them by 1/sqrt 2 in the same
+    blocked pass and takes np.fft.irfft, so x stays real.  The transforms
+    run on the calling thread.  DftFactorization.half_spectrum builds one;
+    what reads lam as A's spectrum (certify) takes the complex class."""
 
     column: np.ndarray = field(repr=False)
 
     @property
-    def unpaired(self) -> tuple[int, ...]:
-        """The bins that are their own mirror and carry weight 1: bin 0, and
-        bin N/2 (the last) for even N."""
-        return (0, self.lam.size - 1) if self.N % 2 == 0 else (0,)
+    def paired(self) -> slice:
+        """The bins i, 1 <= i < (N+1)//2, that stand for two entries of U^H y."""
+        return slice(1, (self.N + 1) // 2)
 
-    def bin_sum(self, total: float, term, lo: int = 0, hi: int | None = None) -> float:
-        hi = self.lam.size if hi is None else hi
-        return 2.0 * total - sum(term(i) for i in self.unpaired if lo <= i < hi)
+    def _paired_times(self, c: float, before=None, after=None):
+        """An each(b, zb) that scales the paired bins of zb = z[b] by c between before and after."""
+        p = self.paired
+
+        def each(b, zb):
+            if before is not None:
+                before(b, zb)
+            zb[max(b.start, p.start) - b.start : min(b.stop, p.stop) - b.start] *= c
+            if after is not None:
+                after(b, zb)
+
+        return each
 
     def _v(self, x: np.ndarray, each=None) -> np.ndarray:
-        return _blocked(np.fft.rfft(x, norm="ortho"), each)
+        return _blocked(np.fft.rfft(x, norm="ortho"), self._paired_times(np.sqrt(2.0), after=each))
 
     def _vh(self, z: np.ndarray, each=None) -> np.ndarray:
-        return np.fft.irfft(_blocked(z, each), n=self.N, norm="ortho")
+        return np.fft.irfft(_blocked(z, self._paired_times(np.sqrt(0.5), before=each)), n=self.N, norm="ortho")
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         return self._v(y), 0.0
@@ -443,7 +444,8 @@ class TransformedModel:
     k values |lam|^2; the rest of U^H y meets zero rows of Lam, and outside
     holds its energy, the squared norm of the part of y outside the range
     of U_k (0.0 when k = M).  The transformed noise w has covariance sigma2 I.
-    """
+    lam_w is lam_p counted once per entry of U^H y: the same array, but with
+    the paired bins doubled on the half spectrum."""
 
     fact: Factorization
     r: np.ndarray
@@ -454,6 +456,14 @@ class TransformedModel:
     @property
     def N(self) -> int:
         return self.fact.N
+
+    @cached_property
+    def lam_w(self) -> np.ndarray:
+        if not isinstance(self.fact, RealDftFactorization):
+            return self.lam_p
+        w = self.lam_p.copy()
+        w[self.fact.paired] *= 2.0
+        return w
 
 
 def scaled_gram_diagonal(C, d) -> np.ndarray:

@@ -78,22 +78,17 @@ def _guarded_correction(x, tau_q, corr):
     return corr
 
 
-def _sumsq(d: np.ndarray, fact=None, start=0) -> float:
-    """The sum of |d_i|^2 over d, the block of a vector from index start,
-    with fact's bin weights (fact.bin_sum) when d lives on its bins.  The
-    plain sum is an einsum on d's float view, numpy's own loop, so no BLAS
-    call runs on a worker thread."""
+def _sumsq(d: np.ndarray) -> float:
+    """The sum of |d_i|^2, an einsum on d's float view, numpy's own loop, so
+    no BLAS call runs on a worker thread."""
     v = d.view(np.float64)
-    total = float(np.einsum("i,i", v, v))
-    if fact is None:
-        return total
-    return fact.bin_sum(total, lambda i: abs(d[i - start]) ** 2, start, start + d.size)
+    return float(np.einsum("i,i", v, v))
 
 
-def _norm(d: np.ndarray, fact=None, outside=0.0) -> float:
-    """sqrt(_sumsq(d, fact) + outside) in one blocked pass, the blocks' sums
-    added in block order, so the result does not depend on the number of CPUs."""
-    return math.sqrt(sum(_blockwise(lambda b: _sumsq(d[b], fact, b.start), d.size, aligned=True), outside))
+def _norm(d: np.ndarray, outside=0.0) -> float:
+    """sqrt(_sumsq(d) + outside) in one blocked pass, the blocks' sums added
+    in block order, so the result does not depend on the number of CPUs."""
+    return math.sqrt(sum(_blockwise(lambda b: _sumsq(d[b]), d.size, aligned=True), outside))
 
 
 def vector_amp_step(
@@ -150,9 +145,8 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
     The estimate-side variance is a scalar, but the measurement-side
     variances stay per element: tau_p = tau_x * lam_p, where lam_p holds the
     k = min(M, N) squared singular values, as long as r and s.  The
-    pseudo-observation variance is N / <lam_p, tau_s>, the sum taken with
-    the factorization's bin weights (fact.bin_sum; 1, 2, ..., 2, 1 on the
-    half spectrum of RealDftFactorization).
+    pseudo-observation variance is N / <lam_w, tau_s>, a sum over the entries
+    of U^H y (tmodel.lam_w).
 
     Outside the denoiser the step holds at most three arrays of length k
     of its own: Lam V x (the output of apply_av), tau_s and s until the
@@ -184,7 +178,7 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
         tau_s_b, s_b = tau_s[b], s[b]
         if residual is not None:
             # r - Lam V x in s's block, before s is built there
-            parts[b.start] = _sumsq(np.subtract(tmodel.r[b], lvx_b, out=s_b), fact, b.start)
+            parts[b.start] = _sumsq(np.subtract(tmodel.r[b], lvx_b, out=s_b))
         tau_p_b = np.multiply(tau_x, tmodel.lam_p[b])
         np.multiply(tau_p_b, state.s[b], out=s_b, dtype=dtype)
         np.subtract(lvx_b, s_b, out=s_b)  # p
@@ -198,7 +192,7 @@ def ut_amp_step(state: SolverState, tmodel: TransformedModel, prior, *, residual
         residual[0] = math.sqrt(sum((parts[i] for i in sorted(parts)), tmodel.outside))
     # einsum sums in numpy, not in BLAS, so the iterate does not depend on
     # the number of BLAS threads
-    denom = fact.bin_sum(float(np.einsum("i,i", tmodel.lam_p, tau_s)), lambda i: tmodel.lam_p[i] * tau_s[i])
+    denom = float(np.einsum("i,i", tmodel.lam_w, tau_s))
     del tau_s
     tau_q = tmodel.N / denom if denom > 0 else np.inf
     # Lam V x is dead: Lam^H s is built in it, and on the DFT route q as well
@@ -315,7 +309,6 @@ def run(
     _check_max_iters(max_iters)
     _check_x_tol(x_tol)
 
-    weights, outside = None, 0.0  # target's bin weights, if any, and the part of ||y - A x||^2 it misses
     if algorithm == "utamp":
         fact = model.fact
         real = (
@@ -325,12 +318,12 @@ def run(
             and not getattr(prior, "complex_valued", True)
         )
         problem = LinearModel(fact.half_spectrum(), model.y, model.sigma2).transformed if real else model.transformed
-        target, product, weights, outside = problem.r, problem.fact.apply_av, problem.fact, problem.outside
+        target, product, outside = problem.r, problem.fact.apply_av, problem.outside
         dtype = float if real else np.result_type(problem.r.dtype, float)
         step = ut_amp_step
     else:
         problem = model
-        target, product = model.y, lambda x: _matmul(model.A, x)
+        target, product, outside = model.y, lambda x: _matmul(model.A, x), 0.0
         dtype = np.result_type(model.A.dtype, model.y.dtype)
         step = vector_amp_step if algorithm == "vector" else scalar_amp_step
 
@@ -368,7 +361,7 @@ def run(
             tau_q = _mean(tau_q)
             continue
         # the one product no step shares
-        trace.last()["residual"] = _norm(target - product(x), weights, outside)
+        trace.last()["residual"] = _norm(target - product(x), outside)
         return state, trace
 
 

@@ -134,11 +134,12 @@ def test_circulant_taps_are_the_generated_first_column():
         circulant_taps(EnsembleSpec(kind="iid_gaussian", M=3, N=3))
 
 
-@pytest.mark.parametrize("case", ["dft", "dft_complex_taps", "dft_complex_prior", "half_spectrum", "svd"])
+@pytest.mark.parametrize("case", ["dft", "dft_complex_taps", "dft_complex_prior", "half_spectrum", "svd", "svd_tall_qr"])
 def test_synthesize_from_factorization_matches_dense_route(case, monkeypatch):
-    # same signal and noise draws as the dense route; only A x is formed
-    # from the factors, so y agrees to rounding and keeps its dtype.  The
-    # DFT classes form it by FFTs and never densify A
+    # same signal and noise draws as the dense route; only A x is formed,
+    # by the factorization's matvec, so y agrees to rounding and keeps its
+    # dtype, and no class densifies A.  The DFT classes form it by FFTs, the
+    # QR-route SVD as the A it holds times x, the dense route's bits
     spec = EnsembleSpec(kind="circulant", M=64, N=64, seed=3)
     A = generate_matrix(spec)
     taps = circulant_taps(spec)
@@ -148,21 +149,23 @@ def test_synthesize_from_factorization_matches_dense_route(case, monkeypatch):
         A = taps[(np.arange(64)[:, None] - np.arange(64)[None, :]) % 64]
     if case == "dft_complex_prior":
         prior = GaussianPrior(complex_valued=True)
-    if case == "svd":
-        A = generate_matrix(EnsembleSpec(kind="ill_conditioned", M=50, N=30, seed=2))
+    if case.startswith("svd"):
+        A = generate_matrix(EnsembleSpec(kind="ill_conditioned", M=80 if case == "svd_tall_qr" else 50, N=30, seed=2))
         fact = svd_factorize(A)
+        assert (fact._qr is not None) == (case == "svd_tall_qr")
     else:
         fact = circulant_factorize(taps)
     if case == "half_spectrum":
         fact = fact.half_spectrum()
-    if case != "svd":
-        monkeypatch.setattr(type(fact), "reconstruct", lambda self: pytest.fail("A was densified"))
+    monkeypatch.setattr(type(fact), "reconstruct", lambda self: pytest.fail("A was densified"))
     dense = synthesize_instance(A, prior, sigma2=0.1, seed=8)
     free = synthesize_instance(fact, prior, sigma2=0.1, seed=8)
     assert free.fact is fact and "A" not in vars(free)
     assert np.array_equal(free.x_true, dense.x_true)
-    assert free.y.dtype == dense.y.dtype == (float if case in ("dft", "half_spectrum", "svd") else complex)
+    assert free.y.dtype == dense.y.dtype == (float if case in ("dft", "half_spectrum", "svd", "svd_tall_qr") else complex)
     assert np.linalg.norm(free.y - dense.y) <= 1e-13 * np.linalg.norm(dense.y)
+    if case == "svd_tall_qr":
+        assert free.y.tobytes() == dense.y.tobytes()
 
 
 def test_synthesize_instance_reproducible_and_consistent():

@@ -163,6 +163,7 @@ def test_svd_factorization_identities(shape, complex_entries):
     x = rng.standard_normal(n)
     y = rng.standard_normal(m)
     assert np.allclose(U @ (f.lam * (V @ x)), f.reconstruct() @ x)
+    assert np.allclose(f.matvec(x), A @ x)
     # Lam V x lives in the transform domain on the k rows that Lam reaches:
     # no part of A x lies outside the range of U_k, and lifting Lam V x back
     # with U_k gives A x
@@ -424,8 +425,8 @@ def _project_cases():
 
 @pytest.mark.parametrize("case", list(_project_cases()))
 def test_project_accounts_for_all_of_y(case):
-    # ||r - Lam V x||^2 + outside = ||y - A x||^2, the sum over r taken with
-    # the factorization's bin weights; apply_uh is project's r
+    # ||r - Lam V x||^2 + outside = ||y - A x||^2 in the plain norm on every
+    # class, the half spectrum too; apply_uh is project's r
     fact, complex_entries = _project_cases()[case]
     m, n = fact.shape
     rng = np.random.default_rng(33)
@@ -437,7 +438,7 @@ def test_project_accounts_for_all_of_y(case):
         r, outside = fact.project(y)
         assert r.shape == fact.lam.shape and isinstance(outside, float)
         d = r - fact.apply_av(x)
-        got = fact.bin_sum(np.vdot(d, d).real, lambda i: abs(d[i]) ** 2) + outside
+        got = np.vdot(d, d).real + outside
         want = np.vdot(y - A @ x, y - A @ x).real
         assert abs(got - want) <= 1e-12 * want
         assert fact.apply_uh(y).tobytes() == r.tobytes()
@@ -1176,43 +1177,56 @@ def test_fft_kernel_runs_in_a_forked_child(monkeypatch):
 
 
 # small, even and odd; even and odd with 2^16 + 1 bins, where the Lam
-# multiplies of the applies run in blocks on the workers
+# multiplies and the sqrt 2 scalings of the applies run in blocks on the
+# workers, the last block holding bin n/2 alone: unpaired at 2^17, paired
+# at 2^17 + 1
 _REAL_LENGTHS = [1, 2, 7, 4096, 2**17, 2**17 + 1]
 
 
 @pytest.mark.parametrize("n", _REAL_LENGTHS)
-def test_half_spectrum_applies_are_adjoint_under_the_weights(n):
+def test_half_spectrum_v_is_an_isometry_and_the_applies_adjoint(n):
     rng = np.random.default_rng(n + 3)
     full = circulant_factorize(rng.standard_normal(n))
     fact = full.half_spectrum()
     assert isinstance(fact, RealDftFactorization) and fact.column is full.column
     assert fact.lam.size == n // 2 + 1 and fact.shape == (n, n)
-    # bins 1 .. (n-1)//2 stand for two entries; bin n/2 of an even n for one
-    assert fact.unpaired == ((0, n // 2) if n % 2 == 0 else (0,))
-    w = np.full(fact.lam.size, 2.0)
-    w[list(fact.unpaired)] = 1.0
-    assert w.sum() == n
-    v = rng.standard_normal(fact.lam.size)
-    assert np.isclose(fact.bin_sum(v.sum(), lambda i: v[i]), w @ v, rtol=1e-12)
-    # a block that starts at bin 1 corrects only the unpaired bins it holds
-    assert fact.bin_sum(v[1:].sum(), lambda i: v[i], 1, fact.lam.size) == 2.0 * v[1:].sum() - (v[-1] if n % 2 == 0 and n > 1 else 0.0)
     want = np.fft.rfft(full.column)
     assert np.max(np.abs(fact.lam - want)) <= 1e-13 * np.max(np.abs(want))
+    # bins 1 .. (n-1)//2 stand for two entries; bin 0, and bin n/2 of an even
+    # n, for one
+    paired = (np.arange(n // 2 + 1) > 0) & (2 * np.arange(n // 2 + 1) < n)
+    assert np.array_equal(np.arange(n // 2 + 1)[fact.paired], np.flatnonzero(paired))
+    assert fact.lam.size + paired.sum() == n
 
     x = rng.standard_normal(n)
     s = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
     frozen = x.tobytes(), s.tobytes()
-    ax, ahs = fact.apply_av(x), fact.apply_avh(s)
+    vx, ax, ahs = fact._v(x), fact.apply_av(x), fact.apply_avh(s)
     assert (x.tobytes(), s.tobytes()) == frozen
     assert ax.shape == (n // 2 + 1,) and ahs.dtype == np.float64 and ahs.shape == (n,)
-    # <s, Lam V x> over the n entries of U^H y is the weighted sum over the bins
-    lhs = float(np.sum(w * (s.conj() * ax).real))
-    assert abs(lhs - ahs @ x) <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(ax) * np.sqrt(2)
-    # the bins of the complex factorization's Lam V x, weighted, keep its norm
-    full_ax = full.apply_av(x)
-    assert np.isclose(np.sum(w * np.abs(ax) ** 2), np.sum(np.abs(full_ax) ** 2), rtol=1e-12)
+    # V x is the normalized rfft with the paired bins scaled by sqrt 2, bit
+    # for bit across the blocks of the pass, and keeps the norm of x
+    scaled = np.fft.rfft(x, norm="ortho")
+    scaled[paired] *= np.sqrt(2.0)
+    assert vx.tobytes() == scaled.tobytes()
+    assert abs(np.linalg.norm(vx) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
+    # the plain adjoint: Re <s, Lam V x> = <V^H Lam^H s, x>
+    assert abs(np.vdot(s, ax).real - ahs @ x) <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(ax)
+    # the half spectrum's Lam V x has the complex factorization's norm
+    full_ax = np.linalg.norm(full.apply_av(x))
+    assert abs(np.linalg.norm(ax) - full_ax) <= 1e-12 * full_ax
+    # V^H inverts V on real x
+    assert np.max(np.abs(fact._vh(fact._v(x)) - x)) <= 1e-13 * np.max(np.abs(x))
     y = rng.standard_normal(n)
-    assert np.max(np.abs(LinearModel(fact, y, 0.1).transformed.r - np.fft.rfft(y, norm="ortho"))) <= 1e-13 * np.linalg.norm(y)
+    r = np.fft.rfft(y, norm="ortho")
+    r[paired] *= np.sqrt(2.0)
+    tm = LinearModel(fact, y, 0.1).transformed
+    assert np.max(np.abs(tm.r - r)) <= 1e-13 * np.linalg.norm(y)
+    # lam_w counts each of A's n eigenvalues once; elsewhere it is lam_p
+    assert np.isclose(tm.lam_w.sum(), np.sum(np.abs(full.lam) ** 2), rtol=1e-12)
+    assert tm.lam_w.tobytes() == (np.where(paired, 2.0, 1.0) * tm.lam_p).tobytes()
+    full_tm = LinearModel(full, y, 0.1).transformed
+    assert full_tm.lam_w is full_tm.lam_p
 
 
 def test_half_spectrum_needs_real_taps():

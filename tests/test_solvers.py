@@ -693,27 +693,51 @@ def _reference_product(F, z):
 def _reference_ut_step(state, tm, prior):
     # the step as it was before it built p, s and q in place, with fresh
     # temporaries, Lam^H formed per call, F^H applied as F.conj().T and each
-    # FFT (_threads._fft, in its order) a pass of its own; the residual's
-    # partial sums are taken over blocks of _FOUR_STEP_MIN, added in order
+    # FFT (_threads._fft, in its order) a pass of its own; on the half
+    # spectrum rfft, the sqrt 2 scaling of the paired bins, Lam and irfft are
+    # passes of their own too, and the denominator counts a paired bin twice.
+    # The residual's plain partial sums are taken over blocks of
+    # _FOUR_STEP_MIN, added in order, and so are the Lam products, in place:
+    # numpy rounds an in-place complex product of one entry (the last block
+    # of 2^16 + 1 bins) differently from its vector loop
     fact = tm.fact
     dft = isinstance(fact, DftFactorization)
+    half = isinstance(fact, RealDftFactorization)
+    bins = np.arange(fact.lam.size)
+    paired = (bins > 0) & (2 * bins < tm.N)  # bin i and bin N - i are distinct
     tau_x = float(np.mean(state.tau_x))
     tau_p = tau_x * tm.lam_p
-    vx = _threads._fft(np.array(state.x, complex)) if dft else _reference_product(fact._V, state.x)
-    # vx is named: numpy would multiply an unnamed temporary as vx * lam, in
-    # place, and a complex product rounds differently with its factors swapped
-    z = fact.lam * vx
-    d = (tm.r - z).astype(np.result_type(z, state.s, tm.r))
+    if dft:
+        vx = _threads._fft(np.array(state.x, complex))
+    elif half:
+        vx = np.fft.rfft(state.x, norm="ortho")
+        vx[paired] *= np.sqrt(2.0)
+    else:
+        vx = _reference_product(fact._V, state.x)
+    # lam is the first factor: a complex product rounds differently with its
+    # factors swapped
     block = _threads._FOUR_STEP_MIN
-    residual = math.sqrt(sum((solvers._sumsq(d[i : i + block], fact, i) for i in range(0, d.size, block)), tm.outside))
+    z = np.array(vx, np.result_type(fact.lam, vx))
+    for i in range(0, z.size, block):
+        np.multiply(fact.lam[i : i + block], z[i : i + block], out=z[i : i + block])
+    d = (tm.r - z).astype(np.result_type(z, state.s, tm.r))
+    residual = math.sqrt(sum((solvers._sumsq(d[i : i + block]) for i in range(0, d.size, block)), tm.outside))
     p = z - tau_p * state.s
     tau_s = 1.0 / (tau_p + tm.sigma2)
     s = tau_s * (tm.r - p)
     # the reduction is the one deliberate change: np.dot ran through BLAS
-    denom = float(np.einsum("i,i", tm.lam_p, tau_s))
+    denom = float(np.einsum("i,i", np.where(paired, 2.0, 1.0) * tm.lam_p if half else tm.lam_p, tau_s))
     tau_q = tm.N / denom if denom > 0 else np.inf
-    z = np.conj(fact.lam) * s
-    corr = _threads._fft(z, inverse=True) if dft else _reference_product(fact._V.conj().T, z)
+    z = np.conj(fact.lam).astype(np.result_type(fact.lam, s))
+    for i in range(0, z.size, block):
+        np.multiply(z[i : i + block], s[i : i + block], out=z[i : i + block])
+    if dft:
+        corr = _threads._fft(z, inverse=True)
+    elif half:
+        z[paired] *= np.sqrt(0.5)
+        corr = np.fft.irfft(z, n=tm.N, norm="ortho")
+    else:
+        corr = _reference_product(fact._V.conj().T, z)
     q = state.x + tau_q * corr if np.isfinite(tau_q) else state.x + 0.0 * corr
     mean, var = _reference_denoise(q, tau_q, prior)
     return [mean, float(np.mean(var)), s, tau_q], residual
@@ -744,6 +768,12 @@ def _step_cases():
         cases[f"dft_{n}_real_bg"] = (circulant_factorize(taps), BernoulliGaussianPrior(rho=0.2), complex, None)
         taps = taps + 1j * rng.standard_normal(n) / np.sqrt(n)
         cases[f"dft_{n}_complex_bg_complex"] = (circulant_factorize(taps), bg_complex, complex, None)
+    # the half spectrum at an even and an odd N, and with 2^16 + 1 bins, where
+    # the applies' blocked pass (with the sqrt 2 scalings) and the chain run
+    # on the workers, the last block holding paired bin 2^16 alone
+    for n, prior in ((16, GaussianPrior(x0=0.3)), (15, BernoulliGaussianPrior(rho=0.2)), (2**17 + 1, BernoulliGaussianPrior(rho=0.2))):
+        taps = rng.standard_normal(n) / np.sqrt(n)
+        cases[f"half_{n}_{type(prior).__name__}"] = (circulant_factorize(taps).half_spectrum(), prior, float, None)
     return cases
 
 
