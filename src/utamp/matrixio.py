@@ -20,6 +20,29 @@ same row format, so the result has the same bits and the file the same
 bytes as one pass gives.  A range that fails to parse sends the whole file
 through the one-pass reader, so the messages stay the same too.  No child
 outlives the call.
+
+A file that starts with numpy's ``.npy`` magic is read by ``np.load``
+instead, pickles refused; it must hold a 2-D float64 or complex128 array.
+
+load_cached reads a text matrix of _FORK_MIN numbers or more (M N, or 2 M N
+for complex, from its header; a smaller one parses in about 30 ms or less)
+through a content-addressed cache, so a file is parsed once.
+
+- Key: the SHA-256 of the file's bytes, hashed in chunks.
+- Location: ``$XDG_CACHE_HOME/utamp``, or ``~/.cache/utamp`` when that is
+  unset, one ``<sha256>.npy`` per file.  Deleting the directory clears it.
+- A hit reads the entry with the ``.npy`` reader above and touches its
+  mtime.  A miss parses as load_matrix does; then, if the file hashes the
+  same as before the parse, np.save writes the array to a temporary file
+  that ``os.replace`` moves into place.
+- Budget: _CACHE_BUDGET bytes, the least recently used entries deleted
+  first.
+- Fallbacks: the cache is best effort.  A directory that cannot be made or
+  written, that another user owns or that others may write, a full disk,
+  and an entry that does not read back with the header's shape and kind
+  all fall back to the parse, silently, and a bad entry is replaced.  A
+  pipe, and text read under a locale encoding other than UTF-8, go to
+  load_matrix as they are.
 """
 
 from __future__ import annotations
@@ -27,6 +50,7 @@ from __future__ import annotations
 import codecs
 import io
 import os
+import stat
 import sys
 import warnings
 
@@ -34,12 +58,15 @@ import numpy as np
 
 from . import _threads
 
-__all__ = ["load_matrix", "save_matrix", "load_vector", "save_vector"]
+__all__ = ["load_matrix", "load_cached", "save_matrix", "load_vector", "save_vector"]
 
 # the fewest numbers worth forking for: a child costs about 2 ms, parsing
 # 2^16 numbers about 30 ms and formatting them about 50 ms
 _FORK_MIN = 1 << 16
 _CAN_FORK = sys.platform == "linux" and hasattr(os, "fork")
+# the cache's size limit, in bytes of its files
+_CACHE_BUDGET = 1 << 30
+_NPY_MAGIC = b"\x93NUMPY"
 # the widest %.17g float64 (e.g. -2.2250738585072014e-308) and a separator
 _MAX_FIELD = 25
 
@@ -83,29 +110,16 @@ def save_matrix(path, a) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`.
+    """Read a matrix written by :func:`save_matrix`, or a ``.npy`` file.
 
     The data rows are parsed by ``np.loadtxt``, straight from the open file,
     in one pass or one row range per CPU (see the module docstring).  Raises
     ValueError with the offending line number on any malformed header or row.
     """
     with open(path) as fh:
-        head_no, head = 0, ""
-        while not head:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: line 1: empty file, expected 'M N real|complex' header")
-            head_no, head = head_no + 1, line.strip()
-        fields = head.split()
-        if len(fields) != 3 or fields[2] not in ("real", "complex"):
-            raise ValueError(f"{path}: line {head_no}: bad header {head!r}, expected 'M N real|complex'")
-        try:
-            m, n = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"{path}: line {head_no}: bad header {head!r}, M and N must be integers") from None
-        if m < 1 or n < 1:
-            raise ValueError(f"{path}: line {head_no}: dimensions must be positive, got {m} x {n}")
-        is_complex = fields[2] == "complex"
+        if _is_npy(fh):
+            return _read_npy(path)
+        head_no, m, n, is_complex = _header(fh, path)
         per_row = 2 * n if is_complex else n
         block = _load_forked(fh, m, per_row)
         if block is None:
@@ -116,6 +130,149 @@ def load_matrix(path) -> np.ndarray:
     if block.shape != (m, per_row):
         _raise_row_error(path, head_no, m, per_row, None)
     return block.view(np.complex128) if is_complex else block
+
+
+def load_cached(path) -> np.ndarray:
+    """load_matrix(path), through the cache for a text matrix of _FORK_MIN
+    numbers or more (see the module docstring): the same bits, the same
+    errors."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe can be read only once
+        return load_matrix(path)
+    with open(path) as fh:
+        if _is_npy(fh) or codecs.lookup(fh.encoding).name != "utf-8":
+            return load_matrix(path)
+        _, m, n, is_complex = _header(fh, path)
+        cache = _cache_dir() if m * n * (1 + is_complex) >= _FORK_MIN else None
+        if cache is None:
+            return load_matrix(path)
+        key = _sha256(fh.fileno())
+    entry = os.path.join(cache, key + ".npy")
+    try:
+        a = _read_npy(entry)
+        if a.shape == (m, n) and a.dtype == (np.complex128 if is_complex else np.float64):
+            os.utime(entry)
+            return a
+    except (OSError, ValueError):
+        pass
+    a = load_matrix(path)
+    if a.nbytes <= _CACHE_BUDGET:
+        with open(path, "rb") as fh:
+            same = _sha256(fh.fileno()) == key
+        if same:
+            _store(entry, a)
+    return a
+
+
+def _header(fh, path) -> tuple[int, int, int, bool]:
+    """Read the header of the open text file fh: (its line number, M, N,
+    whether it is complex); ValueError naming path when it is malformed."""
+    head_no, head = 0, ""
+    while not head:
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: line 1: empty file, expected 'M N real|complex' header")
+        head_no, head = head_no + 1, line.strip()
+    fields = head.split()
+    if len(fields) != 3 or fields[2] not in ("real", "complex"):
+        raise ValueError(f"{path}: line {head_no}: bad header {head!r}, expected 'M N real|complex'")
+    try:
+        m, n = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ValueError(f"{path}: line {head_no}: bad header {head!r}, M and N must be integers") from None
+    if m < 1 or n < 1:
+        raise ValueError(f"{path}: line {head_no}: dimensions must be positive, got {m} x {n}")
+    return head_no, m, n, fields[2] == "complex"
+
+
+def _is_npy(fh) -> bool:
+    """Whether the text file fh, not yet read, starts with numpy's magic."""
+    return fh.buffer.peek(len(_NPY_MAGIC)).startswith(_NPY_MAGIC)
+
+
+def _read_npy(path) -> np.ndarray:
+    """The 2-D float64 or complex128 array in the .npy file at path;
+    ValueError naming path for any other file, shape or dtype."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_NPY_MAGIC)) != _NPY_MAGIC:
+            raise ValueError(f"{path}: not a .npy file")
+        fh.seek(0)
+        try:
+            a = np.load(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if a.ndim != 2 or 0 in a.shape or a.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"{path}: expected a 2-D float64 or complex128 array, got {a.dtype} of shape {a.shape}")
+    return a
+
+
+def _sha256(fd: int) -> str:
+    """The SHA-256 of the whole file open on fd, read in chunks by offset."""
+    import hashlib  # imported here: only a cached load pays for it
+
+    h, buf, pos = hashlib.sha256(), bytearray(1 << 20), 0
+    while n := os.preadv(fd, [buf], pos):
+        h.update(memoryview(buf)[:n])
+        pos += n
+    return h.hexdigest()
+
+
+def _cache_dir() -> str | None:
+    """The cache directory, made (mode 0700) if missing; None when there is
+    no directory that only this user may write."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative: the spec's default
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(root, "utamp")
+    if not os.path.isabs(cache):  # no home directory
+        return None
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        st = os.stat(cache)
+    except OSError:
+        return None
+    mine = not hasattr(os, "getuid") or st.st_uid == os.getuid()
+    if not stat.S_ISDIR(st.st_mode) or not mine or st.st_mode & 0o022:
+        return None
+    return cache
+
+
+def _store(entry: str, a: np.ndarray) -> None:
+    """Write a to entry through a temporary file, after deleting the least
+    recently used files of its directory that leave no room for it under
+    _CACHE_BUDGET; gives up silently on any OSError."""
+    tmp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        _evict(os.path.dirname(entry), _CACHE_BUDGET - a.nbytes)
+        try:
+            # np.save writes to a real file with tofile: no copy of a
+            with open(tmp, "wb") as fh:
+                np.save(fh, a, allow_pickle=False)
+            os.replace(tmp, entry)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError:
+        pass
+
+
+def _evict(cache: str, budget: int) -> None:
+    """Delete the files of cache, least recently modified first, until the
+    rest take at most budget bytes."""
+    files = []
+    with os.scandir(cache) as it:
+        for e in it:
+            if e.is_file(follow_symlinks=False):
+                st = e.stat(follow_symlinks=False)
+                files.append((st.st_mtime_ns, st.st_size, e.path))
+    total = sum(size for _, size, _ in files)
+    for _, size, path in sorted(files):
+        if total <= budget:
+            break
+        try:
+            os.unlink(path)
+        except FileNotFoundError:  # another process evicted it first
+            pass
+        total -= size
 
 
 def _parse(text) -> np.ndarray:
@@ -287,8 +444,10 @@ def save_vector(path, v) -> None:
     save_matrix(path, v[:, None])
 
 
-def load_vector(path) -> np.ndarray:
-    a = load_matrix(path)
+def load_vector(path, load=load_matrix) -> np.ndarray:
+    """Read a single-column matrix file with load (load_matrix or
+    load_cached) as a vector."""
+    a = load(path)
     if a.shape[1] != 1:
         raise ValueError(f"{path}: expected a single-column vector file, got shape {a.shape}")
     return a[:, 0]

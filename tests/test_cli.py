@@ -357,6 +357,29 @@ def test_solve_dft_on_noncirculant_fails(tmp_path, capsys):
     assert "circulant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "certify"])
+def test_matrix_file_prints_the_same_on_a_parse_a_cache_miss_and_a_hit(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    path = tmp_path / "A.txt"  # 2^16 numbers, the fewest the cache keeps
+    save_matrix(path, generate_matrix(EnsembleSpec(kind="iid_gaussian", M=512, N=128, seed=1)))
+    argv = [command, "--matrix", str(path), "--sigma2", "0.01"]
+
+    def table():
+        code = main(argv)
+        # the seconds column is the one that changes from run to run
+        return code, [line.rsplit(None, 1)[0] if line.startswith(("amp", "utamp")) else line
+                      for line in capsys.readouterr().out.splitlines()]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "load_matrix", matrixio.load_matrix)
+        parsed = table()
+    assert not (tmp_path / "xdg" / "utamp").exists()
+    assert table() == parsed  # a miss
+    assert len(os.listdir(tmp_path / "xdg" / "utamp")) == 1
+    monkeypatch.setattr(matrixio, "load_matrix", lambda path: pytest.fail("the file was parsed"))
+    assert table() == parsed  # a hit
+
+
 def test_solve_input_errors(tmp_path, capsys):
     assert main(["solve", "--matrix", str(tmp_path / "missing.txt")]) == 1
     assert main(["solve"]) == 1

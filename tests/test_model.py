@@ -445,8 +445,10 @@ def test_project_accounts_for_all_of_y(case):
 
 
 # the QR route (M >= 2N) real and complex, and gesdd's own route; M x 8
-# bytes is what the zero-padded length-M Lam V x alone took
-@pytest.mark.parametrize("shape,complex_entries", [((400, 20), False), ((400, 20), True), ((300, 200), False)])
+# bytes is what the zero-padded length-M Lam V x alone took.  On gesdd's
+# route M < 2k, so k x 8 bytes and the apply's overhead take more than half
+# the bound: at 1000 x 520 the peak reads 4,944 of 8,000 bytes
+@pytest.mark.parametrize("shape,complex_entries", [((400, 20), False), ((400, 20), True), ((1000, 520), False)])
 def test_tall_svd_iterates_on_the_k_rows_that_lam_reaches(shape, complex_entries):
     rng = np.random.default_rng(31)
     (m, n), k = shape, min(shape)
