@@ -28,7 +28,9 @@ load_cached reads a text matrix of _FORK_MIN numbers or more (M N, or 2 M N
 for complex, from its header; a smaller one parses in about 30 ms or less)
 through a content-addressed cache, so a file is parsed once.
 
-- Key: the SHA-256 of the file's bytes, hashed in chunks.
+- Key: the SHA-256 of _CACHE_FORMAT followed by the file's bytes, hashed
+  in chunks.  _CACHE_FORMAT is bumped whenever load_matrix changes what it
+  accepts or returns, so no entry outlives the parser that made it.
 - Location: ``$XDG_CACHE_HOME/utamp``, or ``~/.cache/utamp`` when that is
   unset, one ``<sha256>.npy`` per file.  Deleting the directory clears it.
 - A hit reads the entry with the ``.npy`` reader above and touches its
@@ -66,6 +68,8 @@ _FORK_MIN = 1 << 16
 _CAN_FORK = sys.platform == "linux" and hasattr(os, "fork")
 # the cache's size limit, in bytes of its files
 _CACHE_BUDGET = 1 << 30
+# hashed ahead of a file's bytes: bump it when load_matrix's reading changes
+_CACHE_FORMAT = b"utamp matrix text 1\n"
 _NPY_MAGIC = b"\x93NUMPY"
 # the widest %.17g float64 (e.g. -2.2250738585072014e-308) and a separator
 _MAX_FIELD = 25
@@ -145,7 +149,7 @@ def load_cached(path) -> np.ndarray:
         cache = _cache_dir() if m * n * (1 + is_complex) >= _FORK_MIN else None
         if cache is None:
             return load_matrix(path)
-        key = _sha256(fh.fileno())
+        key = _sha256(fh.fileno())  # fh is not read again
     entry = os.path.join(cache, key + ".npy")
     try:
         a = _read_npy(entry)
@@ -206,13 +210,15 @@ def _read_npy(path) -> np.ndarray:
 
 
 def _sha256(fd: int) -> str:
-    """The SHA-256 of the whole file open on fd, read in chunks by offset."""
+    """The cache key of the whole file open on fd, read in chunks from its
+    start; moves fd's position."""
     import hashlib  # imported here: only a cached load pays for it
 
-    h, buf, pos = hashlib.sha256(), bytearray(1 << 20), 0
-    while n := os.preadv(fd, [buf], pos):
-        h.update(memoryview(buf)[:n])
-        pos += n
+    h, buf = hashlib.sha256(_CACHE_FORMAT), bytearray(1 << 20)
+    with open(fd, "rb", buffering=0, closefd=False) as raw:
+        raw.seek(0)
+        while n := raw.readinto(buf):
+            h.update(memoryview(buf)[:n])
     return h.hexdigest()
 
 
@@ -444,10 +450,8 @@ def save_vector(path, v) -> None:
     save_matrix(path, v[:, None])
 
 
-def load_vector(path, load=load_matrix) -> np.ndarray:
-    """Read a single-column matrix file with load (load_matrix or
-    load_cached) as a vector."""
-    a = load(path)
+def load_vector(path) -> np.ndarray:
+    a = load_matrix(path)
     if a.shape[1] != 1:
         raise ValueError(f"{path}: expected a single-column vector file, got shape {a.shape}")
     return a[:, 0]

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from utamp import load_cached, load_matrix, load_vector, matrixio, save_matrix, save_vector
+from utamp import load_cached, load_matrix, matrixio, save_matrix
 
 _SPECIALS = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072e-308, 1.7976931348623157e308, 0.0])
 
@@ -42,7 +42,7 @@ def _entries(cache):
 
 
 def _key(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest() + ".npy"
+    return hashlib.sha256(matrixio._CACHE_FORMAT + path.read_bytes()).hexdigest() + ".npy"
 
 
 def _large(tmp_path, name="a.txt", complex_entries=False, seed=0):
@@ -225,10 +225,23 @@ def test_cached_load_peak_memory_is_near_its_result(tmp_path, cache):
         assert len(_entries(cache)) == 1
 
 
-def test_load_vector_reads_through_the_cache(tmp_path, monkeypatch, cache):
-    path = tmp_path / "y.txt"
-    y = _with_specials(1 << 16, 1, False)[:, 0]
-    save_vector(path, y)
-    assert _same_bits(load_vector(path, load_cached), load_vector(path))
+def test_a_new_cache_format_misses_and_keeps_the_old_entry_apart(tmp_path, monkeypatch, cache):
+    path, want = _large(tmp_path)
+    load_cached(path)
+    old = _key(path)
+    monkeypatch.setattr(matrixio, "_CACHE_FORMAT", matrixio._CACHE_FORMAT + b"next\n")
+    parsed = []
+    monkeypatch.setattr(matrixio, "load_matrix", lambda p: parsed.append(p) or load_matrix(p))
+    assert _same_bits(load_cached(path), want) and parsed == [path]
+    assert _entries(cache) == sorted([old, _key(path)])
+
+
+def test_the_cache_needs_no_offset_reads(tmp_path, monkeypatch, cache):
+    # as on a platform without os.preadv, where the parse never forks either
+    path, want = _large(tmp_path)
+    monkeypatch.setattr(matrixio, "_CAN_FORK", False)
+    monkeypatch.delattr(os, "preadv")
+    assert _same_bits(load_cached(path), want)  # a miss
     monkeypatch.setattr(matrixio, "load_matrix", _no_parse)
-    assert _same_bits(load_vector(path, load_cached), y) and _entries(cache) == [_key(path)]
+    assert _same_bits(load_cached(path), want) and _entries(cache) == [_key(path)]  # a hit
+
