@@ -17,9 +17,10 @@ success, 1 on invalid input or usage, 2 when no requested solver reached
 status converged (solve, compare; max_iters counts as not converged) or the
 certificate is not contractive (certify).
 
-A --matrix text file of 2^16 numbers or more is parsed once: later runs on
-the same bytes read the parsed array from $XDG_CACHE_HOME/utamp
-(~/.cache/utamp when unset); deleting that directory clears the cache.
+A --matrix text file of 2^16 numbers or more is parsed and factorized once:
+later runs on the same bytes read the parsed array, and its SVD, from
+$XDG_CACHE_HOME/utamp (~/.cache/utamp when unset); deleting that directory
+clears the cache.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, circulant_taps, generate_ma
 # --matrix files are read through the cache.  The name load_matrix is kept
 # for the call site that perfbench times as matrixio.load_s, which so
 # includes the cache's hashing and, on a hit, its np.load.
+from .matrixio import cached_svd, load_vector, save_matrix
 from .matrixio import load_cached as load_matrix
-from .matrixio import load_vector, save_matrix
-from .model import FactorizationError, LinearModel, circulant_factorize
+from .model import Factorization, FactorizationError, LinearModel, circulant_factorize, svd_factorize
 from .solvers import _check_max_iters, _check_x_tol, lmmse_transformed, run
 from .spectral import UnsupportedPriorError, certify, format_radius
 
@@ -172,8 +173,10 @@ def _is_circulant(A: np.ndarray) -> bool:
 
 
 def _load_operator(args, prior):
-    """Return (A, label): A is the DFT factorization of a circulant input,
-    else the dense matrix of --matrix or of an ensemble.
+    """Return (A, label, factorize): A is the DFT factorization of a
+    circulant input, else the dense matrix of --matrix or of an ensemble,
+    and factorize(A) its thin SVD, through the cache for a --matrix file
+    that load_matrix keyed (see matrixio.cached_svd).
 
     A circulant ensemble is circulant by construction, and a square dense A
     is checked once; unless --factorization svd asks for a dense SVD, either
@@ -181,38 +184,45 @@ def _load_operator(args, prior):
     ensemble forms no N x N array.  A complex A makes the prior complex.
     """
     choice = getattr(args, "factorization", "auto")
+    key = None
+
+    def factorize(a):
+        # svd_factorize is looked up here, on a miss, under its name in cli
+        return cached_svd(key, a, svd_factorize)
+
     if args.matrix is not None:
         if args.ensemble:
             raise CliError("give either --matrix or an ensemble description, not both")
-        A, label = load_matrix(args.matrix), f"file:{args.matrix}"
+        (A, key), label = load_matrix(args.matrix), f"file:{args.matrix}"
     elif not args.ensemble:
         raise CliError("need a problem: either --matrix FILE or an ensemble description (KIND M N ...)")
     else:
         spec = parse_ensemble(args.ensemble)
         if spec.kind == "circulant" and choice != "svd":
-            return circulant_factorize(circulant_taps(spec)), spec.kind
+            return circulant_factorize(circulant_taps(spec)), spec.kind, factorize
         A, label = generate_matrix(spec), spec.kind
     if np.iscomplexobj(A):
         prior.complex_valued = True
     if choice != "svd" and A.shape[0] == A.shape[1] and _is_circulant(A):
-        return circulant_factorize(A[:, 0]), label
+        return circulant_factorize(A[:, 0]), label, factorize
     if choice == "dft":
         raise CliError("--factorization dft needs a circulant matrix (first column must generate it)")
-    return A, label
+    return A, label, factorize
 
 
 def _resolve_problem(args, prior):
-    """Build (model, label): the problem and its name."""
-    A, label = _load_operator(args, prior)
+    """Build (model, label): the problem and its name.  A dense model
+    factorizes its A only when something reads its fact."""
+    A, label, factorize = _load_operator(args, prior)
     if args.observations:
         y = load_vector(args.observations)
         if y.shape[0] != A.shape[0]:
             raise CliError(f"observations have length {y.shape[0]}, matrix has {A.shape[0]} rows")
         if np.iscomplexobj(y):
             prior.complex_valued = True
-        model = LinearModel(A=A, y=y, sigma2=args.sigma2, x_true=None)
+        model = LinearModel(A=A, y=y, sigma2=args.sigma2, x_true=None, factorize=factorize)
     else:
-        model = synthesize_instance(A, prior, sigma2=args.sigma2, seed=args.seed)
+        model = synthesize_instance(A, prior, sigma2=args.sigma2, seed=args.seed, factorize=factorize)
     return model, label
 
 
@@ -330,8 +340,9 @@ def cmd_certify(args) -> int:
     prior = parse_prior(args.prior)
     if not isinstance(prior, GaussianPrior):
         raise CliError("certification needs a Gaussian prior (--prior gauss[:mean=..,var=..])")
-    A, _ = _load_operator(args, prior)
-    cert = certify(A, prior, sigma2=args.sigma2, check_numeric=args.check_numeric)
+    A, _, factorize = _load_operator(args, prior)
+    fact = A if isinstance(A, Factorization) else factorize(A)
+    cert = certify(fact, prior, sigma2=args.sigma2, check_numeric=args.check_numeric)
     report = cert.report()
     print(report)
     if args.out:

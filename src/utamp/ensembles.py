@@ -143,13 +143,13 @@ def generate_matrix(spec: EnsembleSpec) -> np.ndarray:
     raise AssertionError(f"unhandled kind {spec.kind}")
 
 
-def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
+def synthesize_instance(A, prior, sigma2: float, seed: int = 0, factorize=None) -> LinearModel:
     """Draw x from the prior and noise from N(0, sigma2), return the model.
 
     A is a dense matrix or a Factorization (A x by its matvec), which gives
-    a matrix-free model.  The signal and noise streams depend only on (seed,
-    domain), never on the matrix, so regenerating A with different knobs
-    keeps the same x and n.
+    a matrix-free model; factorize goes to LinearModel.  The signal and
+    noise streams depend only on (seed, domain), never on the matrix, so
+    regenerating A with different knobs keeps the same x and n.
     Complex matrices or priors get circularly-symmetric complex noise.
     """
     sigma2 = _noise_variance(sigma2)  # checked before it scales the noise
@@ -163,4 +163,4 @@ def synthesize_instance(A, prior, sigma2: float, seed: int = 0) -> LinearModel:
         noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     else:
         noise = np.sqrt(sigma2) * rng.standard_normal(m)
-    return LinearModel(A=A, y=ax + noise, sigma2=sigma2, x_true=x)
+    return LinearModel(A=A, y=ax + noise, sigma2=sigma2, x_true=x, factorize=factorize)

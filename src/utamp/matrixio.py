@@ -26,7 +26,8 @@ instead, pickles refused; it must hold a 2-D float64 or complex128 array.
 
 load_cached reads a text matrix of _FORK_MIN numbers or more (M N, or 2 M N
 for complex, from its header; a smaller one parses in about 30 ms or less)
-through a content-addressed cache, so a file is parsed once.
+through a content-addressed cache, so a file is parsed once; cached_svd
+keeps the thin SVD of that matrix beside it, so it is factorized once too.
 
 - Key: the SHA-256 of _CACHE_FORMAT followed by the file's bytes, hashed
   in chunks.  _CACHE_FORMAT is bumped whenever load_matrix changes what it
@@ -37,12 +38,28 @@ through a content-addressed cache, so a file is parsed once.
   mtime.  A miss parses as load_matrix does; then, if the file hashes the
   same as before the parse, np.save writes the array to a temporary file
   that ``os.replace`` moves into place.
-- Budget: _CACHE_BUDGET bytes, the least recently used entries deleted
-  first.
+- Factorization: ``<sha256>.svd``, consecutive np.save records of what
+  model.svd_factorize returns for the matrix: lam, U_R and V_k, then the
+  Householder reflectors h and tau on the QR route; not U_k, and no second
+  copy of A (20 MB at 4000 x 500 real, against 16 MB for A).  Its key
+  hashes the file's key with model._SVD_FORMAT (bumped whenever
+  svd_factorize changes), np.__version__, _threads._workers() and the raw
+  values of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS:
+  LAPACK's bits depend on the BLAS thread count, so one setting never reads
+  another's entry.  A hit reads the records with np.load from one handle
+  (10-21 ms at 4000 x 500, not memory-mapped), bit-identical to a fresh
+  svd_factorize, which takes about 0.2 s there; a miss factorizes, then
+  writes the entry as a matrix entry is written, only when the matrix is
+  known to hold the key's bits (a hit, or a miss whose file hashed the
+  same after the parse).  Bits also depend on the CPU's BLAS kernel, so
+  one cache directory serves one CPU type.
+- Budget: _CACHE_BUDGET bytes over both kinds of entry, the least recently
+  used deleted first.
 - Fallbacks: the cache is best effort.  A directory that cannot be made or
   written, that another user owns or that others may write, a full disk,
   and an entry that does not read back with the header's shape and kind
-  all fall back to the parse, silently, and a bad entry is replaced.  A
+  (for a factorization, with A's shapes and dtype) all fall back to the
+  parse or the factorization, silently, and a bad entry is replaced.  A
   pipe, and text read under a locale encoding other than UTF-8, go to
   load_matrix as they are.
 """
@@ -59,8 +76,9 @@ import warnings
 import numpy as np
 
 from . import _threads
+from .model import _SVD_FORMAT, SvdFactorization
 
-__all__ = ["load_matrix", "load_cached", "save_matrix", "load_vector", "save_vector"]
+__all__ = ["load_matrix", "load_cached", "cached_svd", "save_matrix", "load_vector", "save_vector"]
 
 # the fewest numbers worth forking for: a child costs about 2 ms, parsing
 # 2^16 numbers about 30 ms and formatting them about 50 ms
@@ -70,6 +88,8 @@ _CAN_FORK = sys.platform == "linux" and hasattr(os, "fork")
 _CACHE_BUDGET = 1 << 30
 # hashed ahead of a file's bytes: bump it when load_matrix's reading changes
 _CACHE_FORMAT = b"utamp matrix text 1\n"
+# the BLAS thread settings a factorization's key covers, by their raw values
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _NPY_MAGIC = b"\x93NUMPY"
 # the widest %.17g float64 (e.g. -2.2250738585072014e-308) and a separator
 _MAX_FIELD = 25
@@ -136,35 +156,91 @@ def load_matrix(path) -> np.ndarray:
     return block.view(np.complex128) if is_complex else block
 
 
-def load_cached(path) -> np.ndarray:
-    """load_matrix(path), through the cache for a text matrix of _FORK_MIN
-    numbers or more (see the module docstring): the same bits, the same
-    errors."""
+def load_cached(path) -> tuple[np.ndarray, str | None]:
+    """(load_matrix(path), key), through the cache for a text matrix of
+    _FORK_MIN numbers or more (see the module docstring): the same bits,
+    the same errors.  key is the cache key of the file when the matrix is
+    known to hold the bits it names (a hit, or a miss whose file hashed the
+    same after the parse), for cached_svd; else None."""
     if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe can be read only once
-        return load_matrix(path)
+        return load_matrix(path), None
     with open(path) as fh:
         if _is_npy(fh) or codecs.lookup(fh.encoding).name != "utf-8":
-            return load_matrix(path)
+            return load_matrix(path), None
         _, m, n, is_complex = _header(fh, path)
         cache = _cache_dir() if m * n * (1 + is_complex) >= _FORK_MIN else None
         if cache is None:
-            return load_matrix(path)
+            return load_matrix(path), None
         key = _sha256(fh.fileno())  # fh is not read again
     entry = os.path.join(cache, key + ".npy")
     try:
         a = _read_npy(entry)
         if a.shape == (m, n) and a.dtype == (np.complex128 if is_complex else np.float64):
             os.utime(entry)
-            return a
+            return a, key
     except (OSError, ValueError):
         pass
     a = load_matrix(path)
-    if a.nbytes <= _CACHE_BUDGET:
-        with open(path, "rb") as fh:
-            same = _sha256(fh.fileno()) == key
-        if same:
-            _store(entry, a)
-    return a
+    if a.nbytes > _CACHE_BUDGET:
+        return a, None
+    with open(path, "rb") as fh:
+        if _sha256(fh.fileno()) != key:
+            return a, None
+    _store(entry, [a])
+    return a, key
+
+
+def cached_svd(key: str | None, a: np.ndarray, factorize) -> SvdFactorization:
+    """factorize(a), the thin SVD of the matrix a that load_cached returned
+    with key, through the cache (see the module docstring): read from its
+    entry on a hit, factorized and stored on a miss.  factorize is
+    model.svd_factorize or a function that calls it; a key of None, or no
+    usable cache directory, calls it alone."""
+    cache = None if key is None else _cache_dir()
+    if cache is None:
+        return factorize(a)
+    entry = os.path.join(cache, _svd_key(key) + ".svd")
+    try:
+        fact = _read_svd(entry, a)
+        os.utime(entry)
+        return fact
+    except (OSError, ValueError, EOFError):
+        pass
+    fact = factorize(a)
+    _store(entry, [fact.lam, fact._UR, fact._V, *(fact._qr[1:] if fact._qr else ())])
+    return fact
+
+
+def _svd_key(key: str) -> str:
+    """The key of the factorization of the matrix whose key is key."""
+    import hashlib
+
+    parts = [key, _SVD_FORMAT, np.__version__, str(_threads._workers())]
+    parts += [repr(os.environ.get(name)) for name in _BLAS_THREADS]  # unset is not empty
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _read_svd(entry: str, a: np.ndarray) -> SvdFactorization:
+    """The factorization of a whose records entry holds; ValueError or
+    EOFError unless they are three or five .npy records of the shapes and
+    dtypes that svd_factorize(a) returns."""
+    m, n = a.shape
+    k = min(m, n)
+    records = []
+    with open(entry, "rb") as fh:
+        while fh.peek(1) and len(records) < 5:
+            if not fh.peek(len(_NPY_MAGIC)).startswith(_NPY_MAGIC):  # no pickle, no npz
+                raise ValueError(f"{entry}: not a .npy record")
+            records.append(np.load(fh, allow_pickle=False))
+        if fh.peek(1) or len(records) not in (3, 5):
+            raise ValueError(f"{entry}: expected 3 or 5 records")
+    lam, ur, v, *qr = records
+    want = [(lam, (k,), np.float64), (ur, (n if qr else m, k), a.dtype), (v, (k, n), a.dtype)]
+    if qr:
+        want += [(qr[0], (n, m), a.dtype), (qr[1], (n,), a.dtype)]
+    if any(r.shape != shape or r.dtype != dtype for r, shape, dtype in want):
+        raise ValueError(f"{entry}: records do not fit a {m} x {n} {a.dtype} matrix")
+    return SvdFactorization(lam=lam, shape=a.shape, _UR=ur, _V=v, _qr=(a, *qr) if qr else None)
 
 
 def _header(fh, path) -> tuple[int, int, int, bool]:
@@ -242,17 +318,22 @@ def _cache_dir() -> str | None:
     return cache
 
 
-def _store(entry: str, a: np.ndarray) -> None:
-    """Write a to entry through a temporary file, after deleting the least
-    recently used files of its directory that leave no room for it under
-    _CACHE_BUDGET; gives up silently on any OSError."""
+def _store(entry: str, arrays: list[np.ndarray]) -> None:
+    """Write arrays to entry as consecutive np.save records, through a
+    temporary file, after deleting the least recently used files of its
+    directory that leave no room for them under _CACHE_BUDGET; gives up
+    silently on any OSError, and on arrays over the budget."""
+    size = sum(a.nbytes for a in arrays)
+    if size > _CACHE_BUDGET:
+        return
     tmp = f"{entry}.{os.getpid()}.tmp"
     try:
-        _evict(os.path.dirname(entry), _CACHE_BUDGET - a.nbytes)
+        _evict(os.path.dirname(entry), _CACHE_BUDGET - size)
         try:
-            # np.save writes to a real file with tofile: no copy of a
+            # np.save writes to a real file with tofile: no copy of an array
             with open(tmp, "wb") as fh:
-                np.save(fh, a, allow_pickle=False)
+                for a in arrays:
+                    np.save(fh, a, allow_pickle=False)
             os.replace(tmp, entry)
         finally:
             if os.path.exists(tmp):

@@ -77,9 +77,10 @@ class LinearModel:
     A is a dense matrix or a Factorization of it.  ``fact`` is the one
     factorization of the problem, read by the transform-domain solver, the
     LMMSE oracle and the certificate: the one the model was built on, or a
-    thin SVD of a dense A on first read.  ``transformed`` holds r = U_k^H y
-    on it, also computed once.  A model built on a factorization
-    is matrix-free: the dense ``A`` (with ``abs2`` and ``frob2``) is built
+    thin SVD of a dense A on first read: factorize(A) when factorize is
+    given (the CLI's reads a cached one), else svd_factorize(A).
+    ``transformed`` holds r = U_k^H y on it, also computed once.  A model
+    built on a factorization is matrix-free: the dense ``A`` (with ``abs2`` and ``frob2``) is built
     on first read, for the consumers that need it (the AMP baselines and the
     dense ``lmmse_solve``).
 
@@ -89,7 +90,8 @@ class LinearModel:
     complex128; the model does not write to them, and neither may the caller.
     """
 
-    def __init__(self, A, y, sigma2: float, x_true=None):
+    def __init__(self, A, y, sigma2: float, x_true=None, factorize=None):
+        self._factorize = factorize
         if isinstance(A, Factorization):
             self.fact = A
             _finite(A.lam, "A")
@@ -122,7 +124,7 @@ class LinearModel:
     def fact(self) -> Factorization:
         """The factorization the model was built on, else a thin SVD of A,
         computed on first read."""
-        return svd_factorize(self.A)
+        return (self._factorize or svd_factorize)(self.A)
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -376,6 +378,11 @@ class RealDftFactorization(Factorization):
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x of a real x by two real FFTs."""
         return np.fft.irfft(self.lam * np.fft.rfft(x), n=self.N)
+
+
+# names what svd_factorize returns in matrixio's cache keys: bump it whenever
+# svd_factorize changes, so that no cached factorization outlives it
+_SVD_FORMAT = "utamp svd 1"
 
 
 def svd_factorize(A) -> SvdFactorization:

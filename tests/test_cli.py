@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from utamp import DftFactorization, SvdFactorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec
+from utamp import DftFactorization, SvdFactorization, certify, circulant_factorize, load_matrix, save_matrix, save_vector, generate_matrix, EnsembleSpec, svd_factorize
 import utamp
 from utamp import VarianceFixedPoint, cli, denoisers, ensembles, matrixio, model, solvers, spectral
 from utamp.cli import main, parse_ensemble, parse_prior, CliError
@@ -360,24 +360,43 @@ def test_solve_dft_on_noncirculant_fails(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "compare", "certify"])
 def test_matrix_file_prints_the_same_on_a_parse_a_cache_miss_and_a_hit(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    cache = tmp_path / "xdg" / "utamp"
     path = tmp_path / "A.txt"  # 2^16 numbers, the fewest the cache keeps
     save_matrix(path, generate_matrix(EnsembleSpec(kind="iid_gaussian", M=512, N=128, seed=1)))
     argv = [command, "--matrix", str(path), "--sigma2", "0.01"]
+    factorized = []
+    monkeypatch.setattr(cli, "svd_factorize", lambda a: factorized.append(a.shape) or svd_factorize(a))
 
     def table():
+        # one factorization per problem on a miss, none on a hit
+        del factorized[:]
         code = main(argv)
         # the seconds column is the one that changes from run to run
         return code, [line.rsplit(None, 1)[0] if line.startswith(("amp", "utamp")) else line
-                      for line in capsys.readouterr().out.splitlines()]
+                      for line in capsys.readouterr().out.splitlines()], len(factorized)
 
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "load_matrix", matrixio.load_matrix)
+        mp.setattr(cli, "load_matrix", lambda p: (matrixio.load_matrix(p), None))
         parsed = table()
-    assert not (tmp_path / "xdg" / "utamp").exists()
-    assert table() == parsed  # a miss
-    assert len(os.listdir(tmp_path / "xdg" / "utamp")) == 1
+    assert not cache.exists() and parsed[2] == 1
+    assert table() == parsed  # a miss of both entries
+    assert sorted(name.rsplit(".", 1)[1] for name in os.listdir(cache)) == ["npy", "svd"]
     monkeypatch.setattr(matrixio, "load_matrix", lambda path: pytest.fail("the file was parsed"))
-    assert table() == parsed  # a hit
+    assert table()[:2] == parsed[:2] and not factorized  # a hit of both
+    for entry in cache.glob("*.svd"):
+        entry.unlink()
+    assert table() == parsed  # a matrix hit, a factorization miss
+    assert len(os.listdir(cache)) == 2
+
+
+def test_amp_baselines_on_a_matrix_file_store_no_factorization(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    path = tmp_path / "A.txt"
+    save_matrix(path, generate_matrix(EnsembleSpec(kind="iid_gaussian", M=512, N=128, seed=1)))
+    monkeypatch.setattr(cli, "svd_factorize", lambda a: pytest.fail("A was factorized"))
+    argv = ["solve", "--matrix", str(path), "--prior", "bg:rho=0.1", "--algorithms", "amp-vec,amp-scalar"]
+    assert main(argv) in (0, 2) and "amp-scalar" in capsys.readouterr().out
+    assert [name.rsplit(".", 1)[1] for name in os.listdir(tmp_path / "xdg" / "utamp")] == ["npy"]
 
 
 def test_solve_input_errors(tmp_path, capsys):

@@ -109,6 +109,40 @@ def test_matrix_free_model_densifies_on_demand():
     assert np.allclose(dense.fact.reconstruct(), A, atol=1e-13)
 
 
+def test_a_dense_model_factorizes_through_its_factorize_once_on_first_read():
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((7, 4))
+    seen = []
+    model = LinearModel(A, np.ones(7), 0.3, factorize=lambda a: seen.append(a) or svd_factorize(a))
+    assert seen == [] and model.fact is model.fact and len(seen) == 1 and seen[0] is model.A
+    built = LinearModel(svd_factorize(A), np.ones(7), 0.3, factorize=lambda a: pytest.fail("refactorized"))
+    assert isinstance(built.fact, SvdFactorization)
+
+
+@pytest.mark.parametrize(
+    "shape, complex_entries",
+    [((512, 128), False), ((128, 512), False), ((256, 256), False), ((256, 128), True)],
+    ids=["tall-qr", "wide", "square", "complex-qr"],
+)
+def test_a_model_on_a_cached_factorization_has_svd_factorize_bits(tmp_path, monkeypatch, shape, complex_entries):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0)
+    save_matrix(tmp_path / "A.txt", A)
+    y = rng.standard_normal(shape[0])
+    for _ in ("miss", "hit"):
+        A, key = matrixio.load_cached(tmp_path / "A.txt")
+        model = LinearModel(A, y, 0.1, factorize=lambda a: matrixio.cached_svd(key, a, svd_factorize))
+        want = LinearModel(A, y, 0.1)
+        got_parts = [model.fact.lam, model.fact._UR, model.fact._V, *(model.fact._qr or (None,))[1:]]
+        want_parts = [want.fact.lam, want.fact._UR, want.fact._V, *(want.fact._qr or (None,))[1:]]
+        assert len(got_parts) == len(want_parts) == (5 if shape[0] >= 2 * shape[1] else 3)
+        assert all(g.tobytes() == w.tobytes() and g.strides == w.strides for g, w in zip(got_parts, want_parts))
+        assert model.transformed.r.tobytes() == want.transformed.r.tobytes()
+        assert model.transformed.outside == want.transformed.outside
+    assert len(os.listdir(tmp_path / "xdg" / "utamp")) == 2
+
+
 def test_linear_model_cached_quantities():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
