@@ -34,10 +34,10 @@ keeps the thin SVD of that matrix beside it, so it is factorized once too.
   accepts or returns, so no entry outlives the parser that made it.
 - Location: ``$XDG_CACHE_HOME/utamp``, or ``~/.cache/utamp`` when that is
   unset, one ``<sha256>.npy`` per file.  Deleting the directory clears it.
-- A hit reads the entry with the ``.npy`` reader above and touches its
-  mtime.  A miss parses as load_matrix does; then, if the file hashes the
-  same as before the parse, np.save writes the array to a temporary file
-  that ``os.replace`` moves into place.
+- A hit reads the entry's one np.save record, of the header's shape and
+  kind, and touches its mtime.  A miss parses as load_matrix does; then,
+  if the file hashes the same as before the parse, np.save writes the
+  array to a temporary file that ``os.replace`` moves into place.
 - Factorization: ``<sha256>.svd``, consecutive np.save records of what
   model.svd_factorize returns for the matrix: lam, U_R and V_k, then the
   Householder reflectors h and tau on the QR route; not U_k, and no second
@@ -46,15 +46,15 @@ keeps the thin SVD of that matrix beside it, so it is factorized once too.
   svd_factorize changes), np.__version__, _threads._workers() and the raw
   values of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS:
   LAPACK's bits depend on the BLAS thread count, so one setting never reads
-  another's entry.  A hit reads the records with np.load from one handle
-  (10-21 ms at 4000 x 500, not memory-mapped), bit-identical to a fresh
-  svd_factorize, which takes about 0.2 s there; a miss factorizes, then
-  writes the entry as a matrix entry is written, only when the matrix is
-  known to hold the key's bits (a hit, or a miss whose file hashed the
-  same after the parse).  Bits also depend on the CPU's BLAS kernel, so
-  one cache directory serves one CPU type.
-- Budget: _CACHE_BUDGET bytes over both kinds of entry, the least recently
-  used deleted first.
+  another's entry.  A hit reads the records as a matrix entry's is read,
+  from one handle (10-21 ms at 4000 x 500, not memory-mapped),
+  bit-identical to a fresh svd_factorize, which takes about 0.2 s there;
+  a miss factorizes, then writes the entry as a matrix entry is written,
+  only when the matrix is known to hold the key's bits (a hit, or a miss
+  whose file hashed the same after the parse).  Bits also depend on the
+  CPU's BLAS kernel, so one cache directory serves one CPU type.
+- Budget: _CACHE_BUDGET bytes over the files of both kinds of entry,
+  .npy headers included, the least recently used deleted first.
 - Fallbacks: the cache is best effort.  A directory that cannot be made or
   written, that another user owns or that others may write, a full disk,
   and an entry that does not read back with the header's shape and kind
@@ -174,11 +174,10 @@ def load_cached(path) -> tuple[np.ndarray, str | None]:
         key = _sha256(fh.fileno())  # fh is not read again
     entry = os.path.join(cache, key + ".npy")
     try:
-        a = _read_npy(entry)
-        if a.shape == (m, n) and a.dtype == (np.complex128 if is_complex else np.float64):
-            os.utime(entry)
-            return a, key
-    except (OSError, ValueError):
+        (a,) = _read_records(entry, {1: [((m, n), np.complex128 if is_complex else np.float64)]})
+        os.utime(entry)
+        return a, key
+    except (OSError, ValueError, EOFError):
         pass
     a = load_matrix(path)
     if a.nbytes > _CACHE_BUDGET:
@@ -200,10 +199,14 @@ def cached_svd(key: str | None, a: np.ndarray, factorize) -> SvdFactorization:
     if cache is None:
         return factorize(a)
     entry = os.path.join(cache, _svd_key(key) + ".svd")
+    # the shapes and dtypes of svd_factorize(a)'s lam, U_R and V_k, then h and tau on the QR route
+    (m, n), k, t = a.shape, min(a.shape), a.dtype
+    thin_route = [((k,), np.float64), ((m, k), t), ((k, n), t)]
+    qr_route = [((k,), np.float64), ((n, k), t), ((k, n), t), ((n, m), t), ((n,), t)]
     try:
-        fact = _read_svd(entry, a)
+        lam, ur, v, *qr = _read_records(entry, {3: thin_route, 5: qr_route})
         os.utime(entry)
-        return fact
+        return SvdFactorization(lam=lam, shape=a.shape, _UR=ur, _V=v, _qr=(a, *qr) if qr else None)
     except (OSError, ValueError, EOFError):
         pass
     fact = factorize(a)
@@ -220,27 +223,22 @@ def _svd_key(key: str) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def _read_svd(entry: str, a: np.ndarray) -> SvdFactorization:
-    """The factorization of a whose records entry holds; ValueError or
-    EOFError unless they are three or five .npy records of the shapes and
-    dtypes that svd_factorize(a) returns."""
-    m, n = a.shape
-    k = min(m, n)
+def _read_records(entry: str, layouts: dict) -> list[np.ndarray]:
+    """The .npy records of the cache entry at entry, read in turn from one
+    handle (no pickle, no npz, no memory map).  layouts maps each record
+    count it accepts to the records' [(shape, dtype), ...]; ValueError or
+    EOFError for any other count, shape or dtype, or bytes after them."""
     records = []
     with open(entry, "rb") as fh:
-        while fh.peek(1) and len(records) < 5:
+        while fh.peek(1) and len(records) < max(layouts):
             if not fh.peek(len(_NPY_MAGIC)).startswith(_NPY_MAGIC):  # no pickle, no npz
                 raise ValueError(f"{entry}: not a .npy record")
             records.append(np.load(fh, allow_pickle=False))
-        if fh.peek(1) or len(records) not in (3, 5):
-            raise ValueError(f"{entry}: expected 3 or 5 records")
-    lam, ur, v, *qr = records
-    want = [(lam, (k,), np.float64), (ur, (n if qr else m, k), a.dtype), (v, (k, n), a.dtype)]
-    if qr:
-        want += [(qr[0], (n, m), a.dtype), (qr[1], (n,), a.dtype)]
-    if any(r.shape != shape or r.dtype != dtype for r, shape, dtype in want):
-        raise ValueError(f"{entry}: records do not fit a {m} x {n} {a.dtype} matrix")
-    return SvdFactorization(lam=lam, shape=a.shape, _UR=ur, _V=v, _qr=(a, *qr) if qr else None)
+        if fh.peek(1) or len(records) not in layouts:
+            raise ValueError(f"{entry}: expected {' or '.join(map(str, layouts))} records")
+    if any(r.shape != shape or r.dtype != dtype for r, (shape, dtype) in zip(records, layouts[len(records)])):
+        raise ValueError(f"{entry}: records of other shapes or dtypes")
+    return records
 
 
 def _header(fh, path) -> tuple[int, int, int, bool]:
@@ -319,22 +317,21 @@ def _cache_dir() -> str | None:
 
 
 def _store(entry: str, arrays: list[np.ndarray]) -> None:
-    """Write arrays to entry as consecutive np.save records, through a
-    temporary file, after deleting the least recently used files of its
-    directory that leave no room for them under _CACHE_BUDGET; gives up
-    silently on any OSError, and on arrays over the budget."""
-    size = sum(a.nbytes for a in arrays)
-    if size > _CACHE_BUDGET:
-        return
+    """Write arrays to entry as consecutive np.save records: to a temporary
+    file, then, after deleting the least recently used files of its
+    directory that leave no room for that file under _CACHE_BUDGET, into
+    place; gives up silently on any OSError, and on a file over the budget."""
     tmp = f"{entry}.{os.getpid()}.tmp"
     try:
-        _evict(os.path.dirname(entry), _CACHE_BUDGET - size)
         try:
             # np.save writes to a real file with tofile: no copy of an array
             with open(tmp, "wb") as fh:
                 for a in arrays:
                     np.save(fh, a, allow_pickle=False)
-            os.replace(tmp, entry)
+                size = fh.tell()
+            if size <= _CACHE_BUDGET:
+                _evict(os.path.dirname(entry), _CACHE_BUDGET - size, os.path.basename(tmp))
+                os.replace(tmp, entry)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -342,13 +339,13 @@ def _store(entry: str, arrays: list[np.ndarray]) -> None:
         pass
 
 
-def _evict(cache: str, budget: int) -> None:
-    """Delete the files of cache, least recently modified first, until the
-    rest take at most budget bytes."""
+def _evict(cache: str, budget: int, keep: str) -> None:
+    """Delete the files of cache but keep, least recently modified first,
+    until the rest take at most budget bytes."""
     files = []
     with os.scandir(cache) as it:
         for e in it:
-            if e.is_file(follow_symlinks=False):
+            if e.name != keep and e.is_file(follow_symlinks=False):
                 st = e.stat(follow_symlinks=False)
                 files.append((st.st_mtime_ns, st.st_size, e.path))
     total = sum(size for _, size, _ in files)

@@ -9,12 +9,13 @@ are not zero; its project(y) gives r and the squared norm of the part of
 y outside the range of U_k.  One class per unitary transform:
 SvdFactorization stores thin singular factors, a tall A's U_k only as the
 Householder reflectors of a QR factorization and the k x k U_R of an SVD
-of its triangle; DftFactorization applies the DFT of a circulant A by FFTs
-and densifies A from its first column; RealDftFactorization holds a real
-circulant A on the N//2 + 1 bins of the half spectrum, for real x.  Every
-complex FFT goes through _threads._fft, in _fft's order (the real
-transforms are pocketfft's rfft and irfft); it reads the vector it
-transforms where it lies, with no complex copy.  The applies run their
+of its triangle; DftFactorization applies the DFT of a circulant A by FFTs;
+RealDftFactorization holds a real circulant A on the N//2 + 1 bins of the
+half spectrum, for real x.  Their base, _CirculantFactorization, supplies
+A's first column, project and reconstruct; each supplies _v, _vh and its
+own matvec.  Every complex FFT goes through _threads._fft, in _fft's order
+(the real transforms are pocketfft's rfft and irfft); it reads the vector
+it transforms where it lies, with no complex copy.  The applies run their
 elementwise passes (the Lam multiplies and a caller's chain, apply_av's
 then) on blocks of the transform on its worker threads: inside the
 four-step FFT's row pass on the DFT route, in one blocked pass after or
@@ -160,6 +161,8 @@ class Factorization:
     here, on those k entries; a subclass supplies _v (x -> V_k x), _vh (its
     adjoint), project (y -> (U_k^H y, the squared norm of the part of y
     outside the range of U_k)), matvec (A x) and reconstruct (A, dense).
+    On the circulant classes the base _CirculantFactorization supplies
+    column, project and reconstruct, and each class its _v, _vh and matvec.
     V is an isometry on every class, so norms of the k entries are plain:
     ||r - Lam V x||^2 + outside = ||y - A x||^2, and apply_avh is the
     adjoint of apply_av.  _v and project return a fresh array of length k
@@ -292,21 +295,12 @@ def _matmul_h(F: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class DftFactorization(Factorization):
-    """Circulant A: U = V^H, V the normalized DFT with rows in _fft's order
-    (DFT order below 2^16 and for prime N), by FFTs; lam holds A's possibly
-    complex eigenvalues in that order.  column is A's first column as it was
-    given, which A densifies from.  U^H y is V y and has all N entries, so
-    nothing of y lies outside."""
+class _CirculantFactorization(Factorization):
+    """A circulant A, U = V^H for a V that each subclass applies by FFTs.
+    column is A's first column as it was given, which A densifies from.
+    U^H y is V y and has all of y's energy, so nothing of y lies outside."""
 
     column: np.ndarray = field(repr=False)
-
-    def _v(self, x: np.ndarray, each=None) -> np.ndarray:
-        z = np.empty(self.lam.size, np.complex128)
-        return _fft(z, src=x, each=None if each is None else lambda b: each(b, z[b]))
-
-    def _vh(self, z: np.ndarray, each=None) -> np.ndarray:
-        return _fft(z, inverse=True, each=None if each is None else lambda b: each(b, z[b]))
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         return self._v(y), 0.0
@@ -314,6 +308,20 @@ class DftFactorization(Factorization):
     def reconstruct(self) -> np.ndarray:
         """Densify A from its first column, without the DFT matrix."""
         return circulant_matrix(self.column)
+
+
+@dataclass(eq=False)
+class DftFactorization(_CirculantFactorization):
+    """Circulant A: V the normalized DFT with rows in _fft's order (DFT
+    order below 2^16 and for prime N), by FFTs; lam holds A's possibly
+    complex eigenvalues in that order."""
+
+    def _v(self, x: np.ndarray, each=None) -> np.ndarray:
+        z = np.empty(self.lam.size, np.complex128)
+        return _fft(z, src=x, each=None if each is None else lambda b: each(b, z[b]))
+
+    def _vh(self, z: np.ndarray, each=None) -> np.ndarray:
+        return _fft(z, inverse=True, each=None if each is None else lambda b: each(b, z[b]))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x by two FFTs, real exactly when A and x are, as for A @ x."""
@@ -330,7 +338,7 @@ class DftFactorization(Factorization):
 
 
 @dataclass(eq=False)
-class RealDftFactorization(Factorization):
+class RealDftFactorization(_CirculantFactorization):
     """A circulant A with a real first column, applied to real x only.
 
     The DFT of a real vector is Hermitian, so its bins 0..N//2 hold all of
@@ -341,8 +349,6 @@ class RealDftFactorization(Factorization):
     blocked pass and takes np.fft.irfft, so x stays real.  The transforms
     run on the calling thread.  DftFactorization.half_spectrum builds one;
     what reads lam as A's spectrum (certify) takes the complex class."""
-
-    column: np.ndarray = field(repr=False)
 
     @property
     def paired(self) -> slice:
@@ -367,13 +373,6 @@ class RealDftFactorization(Factorization):
 
     def _vh(self, z: np.ndarray, each=None) -> np.ndarray:
         return np.fft.irfft(_blocked(z, self._paired_times(np.sqrt(0.5), before=each)), n=self.N, norm="ortho")
-
-    def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        return self._v(y), 0.0
-
-    def reconstruct(self) -> np.ndarray:
-        """Densify A from its first column, without the DFT matrix."""
-        return circulant_matrix(self.column)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x of a real x by two real FFTs."""

@@ -383,14 +383,15 @@ def test_the_budget_counts_both_kinds_of_entry(tmp_path, monkeypatch, cache, old
     os.utime(svd0, (2000, 2000) if older == "matrix" else (1000, 1000))
     a1, key1 = load_cached(_tall(tmp_path, "a1.txt", seed=1))
     matrix1 = cache / _key(tmp_path / "a1.txt")
-    # room for all four entries but 4 KiB (the budget counts arrays and
-    # files, not .npy headers): storing the last evicts the oldest
+    # room for all four entries' files but one byte: storing the last
+    # evicts the oldest
     size = 2 * (matrix0.stat().st_size + svd0.stat().st_size)
-    monkeypatch.setattr(matrixio, "_CACHE_BUDGET", size - 4096)
+    monkeypatch.setattr(matrixio, "_CACHE_BUDGET", size - 1)
     cached_svd(key1, a1, svd_factorize)
     gone = matrix0 if older == "matrix" else svd0
     kept = svd0 if older == "matrix" else matrix0
     assert not gone.exists() and kept.exists() and matrix1.exists() and len(_entries(cache)) == 3
+    assert sum(f.stat().st_size for f in cache.iterdir()) <= matrixio._CACHE_BUDGET
 
 
 def test_a_file_that_changes_during_the_parse_stores_no_factorization(tmp_path, monkeypatch, cache):
